@@ -15,9 +15,12 @@ namespace durable {
 
 namespace {
 
-// "02": PR8 added the sharded router's routing table + rebalancer sketch to
-// the engine state; an "01" checkpoint would misparse past the txn routes.
-constexpr char kCkptMagic[8] = {'L', 'E', 'O', 'C', 'K', 'P', '0', '3'};
+// The last two bytes version the payload layout. "04" dropped the server's
+// txn -> client route table from the front of the payload; an older file
+// would misparse from its first engine byte, so ReadCheckpoint rejects any
+// other version by name.
+constexpr char kCkptMagic[8] = {'L', 'E', 'O', 'C', 'K', 'P', '0', '4'};
+constexpr size_t kCkptVersionAt = 6;  // "LEOCKP" prefix, then the version
 constexpr char kManifestMagic[8] = {'L', 'E', 'O', 'M', 'A', 'N', '0', '1'};
 constexpr size_t kKeepCheckpoints = 2;
 
@@ -107,8 +110,13 @@ StatusOr<CheckpointStore::Loaded> CheckpointStore::ReadCheckpoint(
   if (!bytes_or.ok()) return bytes_or.status();
   const std::string& bytes = *bytes_or;
   if (bytes.size() < sizeof(kCkptMagic) + 4 ||
-      std::memcmp(bytes.data(), kCkptMagic, sizeof(kCkptMagic)) != 0) {
+      std::memcmp(bytes.data(), kCkptMagic, kCkptVersionAt) != 0) {
     return Status::InvalidArgument("not a checkpoint file: " + path);
+  }
+  if (std::memcmp(bytes.data(), kCkptMagic, sizeof(kCkptMagic)) != 0) {
+    return Status::InvalidArgument(
+        "checkpoint " + path + " has format " + bytes.substr(0, 8) +
+        ", this build reads " + std::string(kCkptMagic, sizeof(kCkptMagic)));
   }
   if (!CheckTrailingCrc(bytes)) {
     return Status::InvalidArgument("checkpoint CRC mismatch: " + path);

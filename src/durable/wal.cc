@@ -58,6 +58,13 @@ void AppendU64(std::string& out, uint64_t v) {
   }
 }
 
+/// The seal: footer sentinel + the CRC32 of every preceding segment byte.
+std::string Footer(uint32_t crc) {
+  std::string footer(kFooterSentinel, sizeof(kFooterSentinel));
+  StateWriter(footer).PutU32(crc);
+  return footer;
+}
+
 }  // namespace
 
 WalWriter::~WalWriter() {
@@ -92,13 +99,9 @@ Status WalWriter::Open(const std::string& dir, uint64_t next_seq,
         std::filesystem::remove(last, ec);
         --segment_count_;
       } else {
-        std::string sealed = *bytes;
-        const uint32_t crc = Crc32(sealed.data(), sealed.size());
-        sealed.append(kFooterSentinel, sizeof(kFooterSentinel));
-        for (int i = 0; i < 4; ++i) {
-          sealed.push_back(static_cast<char>((crc >> (8 * i)) & 0xff));
-        }
-        s = WriteFileAtomic(last, sealed);
+        // The previous process's running CRC died with it: read it back.
+        const uint32_t crc = Crc32(bytes->data(), bytes->size());
+        s = WriteFileAtomic(last, *bytes + Footer(crc));
         if (!s.ok()) return s;
       }
     }
@@ -119,6 +122,7 @@ Status WalWriter::OpenSegment() {
     return Status::Internal("cannot write WAL header to " + segment_path_);
   }
   segment_size_ = header.size();
+  segment_crc_ = Crc32(header.data(), header.size());
   ++segment_count_;
   return Status::Ok();
 }
@@ -149,6 +153,7 @@ Status WalWriter::FlushPending() {
       return Status::Internal("WAL write error on " + segment_path_);
     }
     segment_size_ += pending_.size();
+    segment_crc_ = Crc32Update(segment_crc_, pending_.data(), pending_.size());
     bytes_appended_ += pending_.size();
     pending_.clear();
   }
@@ -178,27 +183,12 @@ Status WalWriter::Rotate() {
 }
 
 Status WalWriter::SealActive() {
+  const std::string footer = Footer(segment_crc_);
+  const bool ok =
+      std::fwrite(footer.data(), 1, footer.size(), file_) == footer.size() &&
+      std::fflush(file_) == 0;
   std::fclose(file_);
   file_ = nullptr;
-  // The footer CRC covers the whole segment; read it back rather than
-  // keeping 64MB buffered — rotation is rare and sequential reads of a
-  // just-written file are served from the page cache.
-  auto bytes = ReadFileToString(segment_path_);
-  if (!bytes.ok()) return bytes.status();
-  const uint32_t crc = Crc32(bytes->data(), bytes->size());
-  std::FILE* f = std::fopen(segment_path_.c_str(), "ab");
-  if (f == nullptr) {
-    return Status::Internal("cannot reopen " + segment_path_ + " to seal");
-  }
-  char footer[kFooterBytes];
-  std::memcpy(footer, kFooterSentinel, sizeof(kFooterSentinel));
-  for (int i = 0; i < 4; ++i) {
-    footer[4 + i] = static_cast<char>((crc >> (8 * i)) & 0xff);
-  }
-  const bool ok = std::fwrite(footer, 1, sizeof(footer), f) ==
-                      sizeof(footer) &&
-                  std::fflush(f) == 0;
-  std::fclose(f);
   if (!ok) return Status::Internal("cannot seal " + segment_path_);
   return Status::Ok();
 }

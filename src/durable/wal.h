@@ -30,8 +30,9 @@ namespace durable {
 /// Sequence numbers are implicit: header first_seq + entry index. When a
 /// segment reaches the size threshold it is *sealed* — the trace-file
 /// integrity footer (0xFF 'C' 'R' 'C' + crc32 of every preceding byte) is
-/// appended and a new segment begins. The entry-kind bytes never collide
-/// with the 0xFF sentinel.
+/// appended and a new segment begins. The writer folds each flushed batch
+/// into a running CRC, so rotation never reads the segment back. The
+/// entry-kind bytes never collide with the 0xFF sentinel.
 ///
 /// Durability model: appends are fflush()ed per batch, so the bytes live in
 /// the OS page cache — they survive a SIGKILL of the process (the
@@ -97,6 +98,7 @@ class WalWriter {
   std::string pending_;          ///< entries encoded since the last flush
   std::string segment_path_;
   size_t segment_size_ = 0;      ///< bytes written to the active segment
+  uint32_t segment_crc_ = 0;     ///< CRC32 of those bytes (the seal footer)
   uint64_t next_seq_ = 0;
   uint64_t segment_count_ = 0;
   uint64_t bytes_appended_ = 0;

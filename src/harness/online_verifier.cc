@@ -105,6 +105,14 @@ void OnlineVerifier::Push(ClientId client, Trace trace) {
   producer_cv_.notify_one();
 }
 
+void OnlineVerifier::PushBatch(ClientId client, std::vector<Trace> traces) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (Trace& trace : traces) pipeline_.Push(client, std::move(trace));
+  }
+  producer_cv_.notify_one();
+}
+
 void OnlineVerifier::Close(ClientId client) {
   {
     std::lock_guard<std::mutex> lock(mu_);

@@ -97,6 +97,10 @@ class OnlineVerifier {
   /// Appends a trace from `client` (ts_bef non-decreasing per client).
   void Push(ClientId client, Trace trace);
 
+  /// Appends a batch of `client`'s traces, in order, under one lock and
+  /// one dispatcher wake-up — what a network reader uses per frame.
+  void PushBatch(ClientId client, std::vector<Trace> traces);
+
   /// Marks `client`'s stream as finished. Idempotent: duplicate closes of
   /// the same client are ignored, so a retried shutdown path cannot end the
   /// run while another client is still open.

@@ -16,7 +16,6 @@ namespace leopard {
 namespace net {
 
 namespace {
-constexpr uint64_t kPollMs = 200;      // recv/accept poll quantum
 constexpr uint64_t kSendTimeoutMs = 5000;
 constexpr size_t kRecvChunk = 64 * 1024;
 }  // namespace
@@ -95,7 +94,6 @@ Status VerifierServer::Start() {
       gate_closed_ = true;
     }
   }
-  accepting_.store(true, std::memory_order_release);
   accept_thread_ = std::thread([this] { AcceptLoop(); });
   if (durable_ && opts_.checkpoint_interval_ms > 0) {
     ckpt_thread_ = std::thread([this] { CheckpointLoop(); });
@@ -116,15 +114,13 @@ void VerifierServer::AcceptLoop() {
   obs::Watchdog::Slot* wd = opts_.watchdog != nullptr
                                 ? opts_.watchdog->Register("net.acceptor")
                                 : nullptr;
-  while (accepting_.load(std::memory_order_acquire)) {
-    // Accept polls at kPollMs, so one beat per iteration keeps the slot
-    // fresh regardless of traffic.
-    if (wd != nullptr) wd->Beat();
-    auto sock = listener_.Accept(kPollMs);
-    if (!sock.ok()) {
-      if (sock.status().code() == StatusCode::kBusy) continue;
-      break;  // listener closed (shutdown) or fatal
-    }
+  while (true) {
+    // Blocks until a connection arrives or WaitReport shuts the listener
+    // down; waiting for clients is idleness, not a wedge.
+    if (wd != nullptr) wd->Suspend();
+    auto sock = listener_.Accept();
+    if (wd != nullptr) wd->Resume();
+    if (!sock.ok()) break;  // listener shut down (drain) or fatal
     std::lock_guard<std::mutex> lock(mu_);
     if (stopping_.load(std::memory_order_relaxed)) break;
     auto session = std::make_unique<Session>();
@@ -149,37 +145,35 @@ void VerifierServer::ReaderLoop(Session& session) {
     std::snprintf(name, sizeof(name), "net.session%u.reader", session.id);
     session.wd_slot = opts_.watchdog->Register(name);
   }
-  session.sock.SetRecvTimeoutMs(kPollMs);
+  // Recv blocks until data, EOF, idle_timeout_ms of silence, or a
+  // ShutdownBoth from another thread (FailSession, a failed send, the
+  // drain in WaitReport), which wakes it at once.
+  session.sock.SetRecvTimeoutMs(opts_.idle_timeout_ms);
   session.sock.SetSendTimeoutMs(kSendTimeoutMs);
   FrameDecoder decoder(opts_.max_frame_bytes);
   char buf[kRecvChunk];
-  uint64_t idle_since_ns = obs::NowNs();
   bool alive = true;
   while (alive) {
-    // Recv polls at kPollMs; a beat per iteration covers both the idle and
-    // the busy path.
-    if (session.wd_slot != nullptr) session.wd_slot->Beat();
+    if (session.wd_slot != nullptr) session.wd_slot->Suspend();
     auto got = session.sock.Recv(buf, sizeof(buf));
+    if (session.wd_slot != nullptr) session.wd_slot->Resume();
     if (!got.ok()) {
       if (got.status().code() != StatusCode::kBusy) break;  // peer gone
-      // Timeout tick: enforce the idle budget, but only on sessions that
-      // still owe us stream data — a drained session legitimately sits
-      // idle waiting for the server-wide report.
+      // A whole idle_timeout_ms without a byte. Only sessions that still
+      // owe us stream data are failed — a drained session legitimately
+      // sits idle waiting for the server-wide report.
       bool all_closed =
           session.n_streams > 0 &&
           std::all_of(session.stream_closed.begin(),
                       session.stream_closed.end(),
                       [](uint8_t c) { return c != 0; });
-      if (!all_closed &&
-          obs::NowNs() - idle_since_ns > opts_.idle_timeout_ms * 1000000ull) {
+      if (!all_closed) {
         FailSession(session, "idle timeout");
         break;
       }
-      if (session.defunct.load(std::memory_order_relaxed)) break;
       continue;
     }
-    if (*got == 0) break;  // orderly EOF
-    idle_since_ns = obs::NowNs();
+    if (*got == 0) break;  // orderly EOF, or our own ShutdownBoth
     if (m_bytes_in_ != nullptr) m_bytes_in_->Inc(*got);
     decoder.Feed(buf, *got);
     while (alive) {
@@ -466,6 +460,7 @@ bool VerifierServer::HandleBatch(Session& session, const Frame& frame) {
     std::unique_lock<std::mutex> durable_lock(durable_mu_, std::defer_lock);
     if (durable_) {
       durable_lock.lock();
+      const uint64_t wal_bytes_before = wal_.bytes_appended();
       Status ws;
       for (const Trace& t : batch->traces) {
         ws = wal_.AppendTrace(t);
@@ -489,7 +484,9 @@ bool VerifierServer::HandleBatch(Session& session, const Frame& frame) {
       wal_next_seq_.store(wal_.next_seq(), std::memory_order_relaxed);
       wal_segments_.store(wal_.segment_count(), std::memory_order_relaxed);
       if (m_wal_appends_ != nullptr) m_wal_appends_->Inc(n);
-      if (m_wal_bytes_ != nullptr) m_wal_bytes_->Inc(batch_bytes);
+      if (m_wal_bytes_ != nullptr) {
+        m_wal_bytes_->Inc(wal_.bytes_appended() - wal_bytes_before);
+      }
       if (m_wal_segments_g_ != nullptr) {
         m_wal_segments_g_->Set(static_cast<int64_t>(wal_.segment_count()));
       }
@@ -502,9 +499,7 @@ bool VerifierServer::HandleBatch(Session& session, const Frame& frame) {
         txn_client_.emplace(t.txn, client);
       }
     }
-    for (Trace& t : batch->traces) {
-      online_->Push(client, std::move(t));
-    }
+    online_->PushBatch(client, std::move(batch->traces));
     // Counted inside the durable scope so a checkpoint's saved totals agree
     // exactly with its cut (no batch half-counted across the boundary).
     pushed_bytes_.fetch_add(batch_bytes, std::memory_order_relaxed);
@@ -588,7 +583,11 @@ void VerifierServer::SendToSession(Session& session,
   if (session.defunct.load(std::memory_order_relaxed)) return;
   std::lock_guard<std::mutex> lock(session.write_mu);
   Status s = session.sock.SendAll(frame.data(), frame.size());
-  if (!s.ok()) session.defunct.store(true, std::memory_order_relaxed);
+  if (!s.ok()) {
+    // The peer is gone or stuck: wake the reader so the session ends now.
+    session.defunct.store(true, std::memory_order_relaxed);
+    session.sock.ShutdownBoth();
+  }
 }
 
 void VerifierServer::FailSession(Session& session,
@@ -813,6 +812,7 @@ void VerifierServer::StopDiagnoseWorker() {
 void VerifierServer::WalAddClient(ClientId client) {
   if (!durable_) return;
   std::lock_guard<std::mutex> lock(durable_mu_);
+  const uint64_t wal_bytes_before = wal_.bytes_appended();
   Status s = wal_.AppendAddClient(client);
   if (s.ok()) s = wal_.Sync();
   if (!s.ok()) {
@@ -827,6 +827,9 @@ void VerifierServer::WalAddClient(ClientId client) {
   wal_next_seq_.store(wal_.next_seq(), std::memory_order_relaxed);
   wal_segments_.store(wal_.segment_count(), std::memory_order_relaxed);
   if (m_wal_appends_ != nullptr) m_wal_appends_->Inc();
+  if (m_wal_bytes_ != nullptr) {
+    m_wal_bytes_->Inc(wal_.bytes_appended() - wal_bytes_before);
+  }
 }
 
 Status VerifierServer::RecoverState(const OnlineVerifier::Options& vo) {
@@ -834,8 +837,8 @@ Status VerifierServer::RecoverState(const OnlineVerifier::Options& vo) {
   uint64_t cut = 0;
   uint32_t saved_slot = 0;
   uint64_t saved_traces = 0;
-  std::unordered_map<TxnId, ClientId> saved_routes;
   bool restored = false;
+  std::string newest_ckpt_error;  // why the newest checkpoint was skipped
 
   // Newest checkpoint first, older ones as fallback. Each attempt gets a
   // fresh verifier: a LoadState that fails midway leaves its target
@@ -845,6 +848,9 @@ Status VerifierServer::RecoverState(const OnlineVerifier::Options& vo) {
        ++it) {
     auto loaded = durable::CheckpointStore::ReadCheckpoint(it->second);
     if (!loaded.ok()) {
+      if (newest_ckpt_error.empty()) {
+        newest_ckpt_error = loaded.status().message();
+      }
       if (opts_.events != nullptr) {
         opts_.events->Recordf(obs::EventSeverity::kWarn, "durable",
                               "skipping checkpoint: %s",
@@ -871,24 +877,13 @@ Status VerifierServer::RecoverState(const OnlineVerifier::Options& vo) {
     Status s;
     uint32_t slot = 0;
     uint64_t traces = 0;
-    uint32_t n_routes = 0;
-    std::unordered_map<TxnId, ClientId> routes;
-    if ((s = r.GetU32(slot)).ok() && (s = r.GetU64(traces)).ok() &&
-        (s = r.GetU32(n_routes)).ok()) {
-      if (!r.CountFits(n_routes, 12)) {
-        s = Status::InvalidArgument("server state: absurd route count");
-      }
-      routes.reserve(n_routes);
-      for (uint32_t i = 0; i < n_routes && s.ok(); ++i) {
-        uint64_t txn = 0;
-        uint32_t cl = 0;
-        if ((s = r.GetU64(txn)).ok() && (s = r.GetU32(cl)).ok()) {
-          routes.emplace(txn, cl);
-        }
-      }
+    if ((s = r.GetU32(slot)).ok() && (s = r.GetU64(traces)).ok()) {
+      s = fresh->LoadState(r);
     }
-    if (s.ok()) s = fresh->LoadState(r);
     if (!s.ok()) {
+      if (newest_ckpt_error.empty()) {
+        newest_ckpt_error = loaded->path + ": " + s.message();
+      }
       if (opts_.events != nullptr) {
         opts_.events->Recordf(obs::EventSeverity::kWarn, "durable",
                               "checkpoint %s unusable: %s",
@@ -900,7 +895,6 @@ Status VerifierServer::RecoverState(const OnlineVerifier::Options& vo) {
     cut = loaded->meta.cut;
     saved_slot = slot;
     saved_traces = traces;
-    saved_routes = std::move(routes);
     restored = true;
   }
   if (!restored) {
@@ -913,11 +907,6 @@ Status VerifierServer::RecoverState(const OnlineVerifier::Options& vo) {
     online_ = std::make_unique<OnlineVerifier>(1, config_, vo);
     cut = 0;
   }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    txn_client_ = std::move(saved_routes);
-  }
-
   // Replay the log past the cut into the restored verifier. Registrations
   // below the checkpoint's client count are already part of the restored
   // state (the WAL write happens outside mu_, so an id can legitimately be
@@ -945,6 +934,12 @@ Status VerifierServer::RecoverState(const OnlineVerifier::Options& vo) {
         return Status::Ok();
       },
       &stats);
+  if (!s.ok() && !restored && !newest_ckpt_error.empty()) {
+    // The log alone could not rebuild the state; the checkpoint that
+    // should have is the operator's real problem.
+    return Status(s.code(), s.message() + " (no usable checkpoint; newest: " +
+                                newest_ckpt_error + ")");
+  }
   if (!s.ok()) return s;
 
   recovery_.resumed = restored || stats.segments_read > 0;
@@ -1032,11 +1027,6 @@ Status VerifierServer::DoCheckpoint() {
     traces_at_cut = traces_received_.load(std::memory_order_relaxed);
     w.PutU32(next_stream_slot_);
     w.PutU64(traces_at_cut);
-    w.PutU32(static_cast<uint32_t>(txn_client_.size()));
-    for (const auto& [txn, cl] : txn_client_) {
-      w.PutU64(txn);
-      w.PutU32(cl);
-    }
   }
   s = online_->SaveState(w);
   if (!s.ok()) {
@@ -1131,7 +1121,6 @@ void VerifierServer::Shutdown() {
     std::lock_guard<std::mutex> lock(mu_);
     stopping_.store(true, std::memory_order_relaxed);
   }
-  accepting_.store(false, std::memory_order_release);
   drain_cv_.notify_all();
 }
 
@@ -1193,10 +1182,9 @@ const VerifyReport& VerifierServer::WaitReport() {
     stopping_.store(true, std::memory_order_relaxed);
   }
   // Stop accepting and collect the session set (stable: entries are never
-  // erased, and no new ones can appear once accepting_ is false). Join
-  // before closing the fd — the accept poll rechecks accepting_ within
-  // kPollMs, and Close while Accept reads the fd would race.
-  accepting_.store(false, std::memory_order_release);
+  // erased, and no new ones can appear once the acceptor has exited).
+  // shutdown(2) wakes the blocked accept(); join before closing the fd.
+  listener_.Shutdown();
   if (accept_thread_.joinable()) accept_thread_.join();
   listener_.Close();
   // Stop checkpointing before the final drain: from here on the verifier

@@ -36,7 +36,9 @@ namespace net {
 /// boundary. Violations stream back to the session(s) whose transactions
 /// are involved.
 ///
-/// Threading: one accept thread plus one reader thread per connection.
+/// Threading: one accept thread plus one reader thread per connection,
+/// each blocked in accept()/recv() until there is work; WaitReport wakes
+/// them with shutdown(2), so a drain never waits out a poll period.
 /// Sessions register their streams dynamically (OnlineVerifier::AddClient);
 /// a "gate" stream held open by the server keeps the pipeline watermark at
 /// zero until all `expected_sessions` have completed their handshake, so
@@ -64,7 +66,8 @@ class VerifierServer {
     /// Hard cap on concurrently-registered client streams across all
     /// sessions (a handshake requesting more is rejected).
     uint32_t max_streams = 256;
-    /// Close a session that sends nothing for this long.
+    /// Close a session that sends nothing for this long while it still has
+    /// open streams (0 = never).
     uint64_t idle_timeout_ms = 30000;
     /// Backpressure threshold on decoded-but-unverified trace bytes.
     size_t max_inflight_bytes = 64u << 20;
@@ -275,11 +278,11 @@ class VerifierServer {
   mutable std::mutex mu_;  // sessions_, routing maps, allocation, lifecycle
   std::condition_variable drain_cv_;
   std::vector<std::unique_ptr<Session>> sessions_;
-  /// Violation routing, split so it survives a restart: txn -> verifier
-  /// client id is durable (checkpointed and rebuilt by WAL replay), while
-  /// client id -> live session is ephemeral and rebuilt per handshake. A
-  /// restored txn whose session died with the old process simply has no
-  /// client_session_ entry (counted net.violations_unroutable).
+  /// Violation routing: txn -> verifier client id, then client id -> live
+  /// session. In-process only, never checkpointed: every client restored
+  /// by recovery is closed and new sessions get fresh ids, so a restored
+  /// txn could never reach a live session anyway. Its violations count as
+  /// net.violations_unroutable.
   std::unordered_map<TxnId, ClientId> txn_client_;
   std::unordered_map<ClientId, Session*> client_session_;
   /// Stream state parked by an abrupt disconnect of a *resumable* session
@@ -304,7 +307,6 @@ class VerifierServer {
   /// until drained_ — the teardown joins threads and must run exactly once.
   bool draining_ = false;
   std::atomic<bool> stopping_{false};  // set by Shutdown(), any thread
-  std::atomic<bool> accepting_{false};
   std::atomic<uint64_t> traces_received_{0};
   std::atomic<uint64_t> pushed_bytes_{0};
   std::atomic<uint32_t> sessions_completed_{0};

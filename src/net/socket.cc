@@ -225,6 +225,10 @@ StatusOr<Socket> Listener::Accept(uint64_t accept_timeout_ms) {
   }
 }
 
+void Listener::Shutdown() {
+  if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
+}
+
 void Listener::Close() {
   if (fd_ >= 0) {
     ::close(fd_);

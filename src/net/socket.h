@@ -56,8 +56,8 @@ bool ParseHostPort(const std::string& spec, std::string& host, uint16_t& port);
 /// Connects to host:port (numeric IP or name). Blocking.
 StatusOr<Socket> TcpConnect(const std::string& host, uint16_t port);
 
-/// A listening TCP socket. Accept() blocks at most `accept_timeout_ms`, so
-/// an accept loop can poll a stop flag without extra machinery.
+/// A listening TCP socket. Accept() blocks at most `accept_timeout_ms`, or
+/// until Shutdown() when that is 0.
 class Listener {
  public:
   Listener() = default;
@@ -73,7 +73,14 @@ class Listener {
   bool valid() const { return fd_ >= 0; }
 
   /// Accepts one connection; kBusy on timeout (no pending connection).
-  StatusOr<Socket> Accept(uint64_t accept_timeout_ms);
+  /// 0 waits indefinitely; a Shutdown() from another thread fails it.
+  StatusOr<Socket> Accept(uint64_t accept_timeout_ms = 0);
+
+  /// shutdown(2) on the listening socket: a thread blocked in Accept()
+  /// returns an error at once, and so does every later Accept(). Unlike
+  /// Close() it leaves the descriptor valid, so it is safe while another
+  /// thread is inside Accept().
+  void Shutdown();
 
   void Close();
 

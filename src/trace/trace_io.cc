@@ -77,26 +77,51 @@ class Reader {
   size_t pos_ = 0;
 };
 
+/// Slicing-by-8 tables for the reflected polynomial 0xEDB88320: kCrc[0] is
+/// the classic bytewise table, kCrc[k][b] the CRC of byte b followed by k
+/// zero bytes, so one lookup per byte of an 8-byte word folds the word in.
+using Crc32Tables = std::array<std::array<uint32_t, 256>, 8>;
+
+constexpr Crc32Tables MakeCrc32Tables() {
+  Crc32Tables t{};
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t c = i;
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    t[0][i] = c;
+  }
+  for (size_t k = 1; k < t.size(); ++k) {
+    for (uint32_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFF];
+    }
+  }
+  return t;
+}
+
+constexpr Crc32Tables kCrc = MakeCrc32Tables();
+
+uint32_t LoadLe32(const unsigned char* p) {
+  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
+         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
+}
+
 }  // namespace
 
-uint32_t Crc32(const char* data, size_t n) {
-  static const auto table = [] {
-    std::array<uint32_t, 256> t{};
-    for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      }
-      t[i] = c;
-    }
-    return t;
-  }();
-  uint32_t crc = 0xFFFFFFFFu;
-  for (size_t i = 0; i < n; ++i) {
-    crc = table[(crc ^ static_cast<uint8_t>(data[i])) & 0xFF] ^ (crc >> 8);
+uint32_t Crc32Update(uint32_t crc, const char* data, size_t n) {
+  const auto* p = reinterpret_cast<const unsigned char*>(data);
+  uint32_t c = ~crc;
+  for (; n >= 8; n -= 8, p += 8) {
+    const uint32_t lo = c ^ LoadLe32(p);
+    const uint32_t hi = LoadLe32(p + 4);
+    c = kCrc[7][lo & 0xFF] ^ kCrc[6][(lo >> 8) & 0xFF] ^
+        kCrc[5][(lo >> 16) & 0xFF] ^ kCrc[4][lo >> 24] ^
+        kCrc[3][hi & 0xFF] ^ kCrc[2][(hi >> 8) & 0xFF] ^
+        kCrc[1][(hi >> 16) & 0xFF] ^ kCrc[0][hi >> 24];
   }
-  return crc ^ 0xFFFFFFFFu;
+  for (; n > 0; --n, ++p) c = kCrc[0][(c ^ *p) & 0xFF] ^ (c >> 8);
+  return ~c;
 }
+
+uint32_t Crc32(const char* data, size_t n) { return Crc32Update(0, data, n); }
 
 // Bit 0x04 of the op byte flags an isolation-level tail: one u8 isolation
 // level after the range footer. Emitted only for non-SERIALIZABLE traces, so

@@ -56,6 +56,11 @@ StatusOr<std::vector<Trace>> DecodeTraces(const std::string& bytes,
 /// CRC32 (reflected, poly 0xEDB88320) used by the trace-file footer.
 uint32_t Crc32(const char* data, size_t n);
 
+/// Streaming form of Crc32: extends `crc`, the CRC of some prefix (0 for
+/// the empty one), by `n` more bytes. Crc32Update(Crc32(a), b) equals the
+/// CRC of a followed by b, so a writer can checksum a file as it appends.
+uint32_t Crc32Update(uint32_t crc, const char* data, size_t n);
+
 /// Record-level codec shared by the file format above and the network wire
 /// protocol (src/net/wire): one trace record, no file header.
 void AppendTraceRecord(std::string& out, const Trace& t);

@@ -18,13 +18,16 @@
 #include <filesystem>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "common/spsc_queue.h"
 #include "common/state_codec.h"
 #include "durable/checkpoint.h"
+#include "durable/fs.h"
 #include "durable/wal.h"
 #include "harness/online_verifier.h"
 #include "harness/sim_runner.h"
@@ -119,6 +122,36 @@ std::vector<std::string> WalSegments(const std::string& dir) {
   }
   std::sort(paths.begin(), paths.end());
   return paths;
+}
+
+/// The sentinel that opens a sealed WAL segment's 8-byte footer.
+constexpr std::string_view kSealSentinel("\xFF" "CRC", 4);
+
+/// Checks that `path` is sealed and that its footer CRC equals a CRC read
+/// back over every preceding byte of the file.
+void ExpectFooterMatchesReadBack(const std::string& path) {
+  auto bytes = durable::ReadFileToString(path);
+  ASSERT_TRUE(bytes.ok()) << bytes.status();
+  ASSERT_GE(bytes->size(), 24u) << path;  // header + footer
+  const size_t body = bytes->size() - 8;
+  EXPECT_EQ(bytes->substr(body, 4), kSealSentinel) << path;
+  StateReader footer(*bytes, body + 4);
+  uint32_t stored = 0;
+  ASSERT_TRUE(footer.GetU32(stored).ok());
+  EXPECT_EQ(stored, Crc32(bytes->data(), body)) << path;
+}
+
+/// Rewrites a checkpoint file as the previous format would have stamped
+/// it: magic "LEOCKP03", trailing CRC recomputed so only the magic differs.
+void DowngradeCheckpointMagic(const std::string& path) {
+  auto bytes = durable::ReadFileToString(path);
+  ASSERT_TRUE(bytes.ok()) << bytes.status();
+  ASSERT_EQ(bytes->substr(0, 8), "LEOCKP04");
+  (*bytes)[7] = '3';
+  bytes->resize(bytes->size() - 4);
+  const uint32_t crc = Crc32(bytes->data(), bytes->size());
+  StateWriter(*bytes).PutU32(crc);
+  ASSERT_TRUE(durable::WriteFileAtomic(path, *bytes).ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -284,6 +317,56 @@ TEST(WalTest, SealedSegmentCorruptionIsAHardError) {
   ASSERT_FALSE(s.ok());
 }
 
+TEST(WalTest, EverySealCarriesTheReadBackCrc) {
+  // The writer seals from a CRC it folds as it flushes; each of the three
+  // ways a segment gets sealed must agree with a CRC of the file on disk.
+  const std::string dir = TempDir("wal_seal_crc");
+  auto traces = SampleTraces(60);
+  {
+    durable::WalWriter wal;
+    durable::WalWriter::Options wo;
+    wo.segment_bytes = 512;  // size-triggered rotation every few batches
+    ASSERT_TRUE(wal.Open(dir, 0, wo).ok());
+    ASSERT_TRUE(wal.AppendAddClient(0).ok());
+    for (size_t i = 0; i < 40; ++i) {
+      ASSERT_TRUE(wal.AppendTrace(traces[i]).ok());
+      if (i % 3 == 2) {
+        ASSERT_TRUE(wal.Sync().ok());
+      }
+    }
+    ASSERT_GE(wal.segment_count(), 3u);  // at least two size-triggered seals
+    // A checkpoint's seal, with an unflushed append still pending.
+    ASSERT_TRUE(wal.Rotate().ok());
+    for (size_t i = 40; i < 50; ++i) {
+      ASSERT_TRUE(wal.AppendTrace(traces[i]).ok());
+    }
+    ASSERT_TRUE(wal.Sync().ok());
+  }
+  // The process dies mid-append; the next one truncates the torn tail and
+  // Open() seals what is left of that segment.
+  std::string partial;
+  partial.push_back('\x02');
+  AppendTraceRecord(partial, traces[50]);
+  partial.resize(partial.size() / 2);
+  AppendRaw(WalSegments(dir).back(), partial);
+  durable::WalReplayStats stats;
+  ReplayAll(dir, 0, &stats);
+  ASSERT_EQ(stats.torn_bytes, partial.size());
+  {
+    durable::WalWriter wal;
+    ASSERT_TRUE(wal.Open(dir, stats.next_seq, {}).ok());
+  }
+  const auto segments = WalSegments(dir);
+  ASSERT_GE(segments.size(), 5u);
+  // Every segment but the new, empty active one is sealed.
+  for (size_t i = 0; i + 1 < segments.size(); ++i) {
+    ExpectFooterMatchesReadBack(segments[i]);
+  }
+  auto entries = ReplayAll(dir, 0, &stats);
+  ASSERT_EQ(entries.size(), 51u);
+  EXPECT_EQ(entries.back().trace.ToString(), traces[49].ToString());
+}
+
 TEST(WalTest, MissingMiddleSegmentIsAHardError) {
   const std::string dir = TempDir("wal_gap");
   {
@@ -397,6 +480,30 @@ TEST(CheckpointTest, CorruptNewestFallsBackToOlder) {
   EXPECT_EQ(loaded->meta.cut, 5u);
 
   FlipByte(all[0].second, 40);  // now both are gone
+  EXPECT_FALSE(store.LoadNewest().ok());
+}
+
+TEST(CheckpointTest, OlderFormatIsRejectedByName) {
+  // A file from before the route table left the payload: same container,
+  // older magic. It must fail as "older format", not misparse as state.
+  const std::string dir = TempDir("ckpt_old_magic");
+  durable::CheckpointStore store;
+  ASSERT_TRUE(store.Init(dir).ok());
+  durable::CheckpointStore::Meta meta;
+  meta.cut = 7;
+  ASSERT_TRUE(store.Write(meta, "payload").ok());
+  const std::string path = store.List().at(0).second;
+  DowngradeCheckpointMagic(path);
+
+  auto loaded = durable::CheckpointStore::ReadCheckpoint(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(loaded.status().message().find("has format LEOCKP03"),
+            std::string::npos)
+      << loaded.status();
+  EXPECT_NE(loaded.status().message().find("reads LEOCKP04"),
+            std::string::npos)
+      << loaded.status();
   EXPECT_FALSE(store.LoadNewest().ok());
 }
 
@@ -881,6 +988,143 @@ TEST(DurableServerTest, FreshStateDirStartsEmptyAndCheckpointsOnThreshold) {
   drain.join();
   // The count-triggered checkpointer fired at least once mid-run.
   EXPECT_GE(server.GetStatus().checkpoints_written, 1u);
+}
+
+/// Entry bytes of every WAL segment in `dir`: file sizes less the 16-byte
+/// header and, on sealed segments, the 8-byte footer.
+uint64_t WalEntryBytesOnDisk(const std::string& dir) {
+  uint64_t total = 0;
+  for (const std::string& path : WalSegments(dir)) {
+    auto bytes = durable::ReadFileToString(path);
+    EXPECT_TRUE(bytes.ok()) << bytes.status();
+    if (!bytes.ok()) continue;
+    const bool sealed =
+        bytes->size() >= 24 &&
+        bytes->compare(bytes->size() - 8, 4, kSealSentinel) == 0;
+    total += bytes->size() - 16 - (sealed ? 8 : 0);
+  }
+  return total;
+}
+
+TEST(DurableServerTest, WalBytesCounterMatchesEntryBytesOnDisk) {
+  const std::string dir = TempDir("server_wal_bytes");
+  obs::MetricsRegistry registry;
+  net::VerifierServer::Options so;
+  so.expected_sessions = 1;
+  so.state_dir = dir;
+  so.checkpoint_interval_ms = 0;
+  so.wal_segment_bytes = 4096;  // several sealed segments, none collected
+  so.metrics = &registry;
+  VerifierConfig config = ConfigForMiniDb(Protocol::kMvcc2plSsi,
+                                          IsolationLevel::kSerializable);
+  {
+    net::VerifierServer server(config, so);
+    ASSERT_TRUE(server.Start().ok());
+    std::thread drain([&server] { server.WaitReport(); });
+    auto traces = SampleTraces(300);
+    auto client = StreamRange(server.port(), traces, 0, traces.size());
+    ASSERT_NE(client, nullptr);
+    ASSERT_TRUE(client->Finish().ok());
+    drain.join();
+  }
+  ASSERT_GT(WalSegments(dir).size(), 2u);
+  const uint64_t on_disk = WalEntryBytesOnDisk(dir);
+  EXPECT_GT(on_disk, 0u);
+  EXPECT_EQ(registry.counter("durable.wal.bytes")->Value(), on_disk);
+}
+
+TEST(DurableServerTest, CheckpointPayloadStaysFlatAsTransactionsAccumulate) {
+  // The payload is the verifier's state, which GC keeps bounded; nothing in
+  // it may grow with every transaction ever seen.
+  FaultyHistory h = RunWithFaults(FaultPlan{}, Protocol::kMvcc2plSsi,
+                                  IsolationLevel::kSerializable, 21, 3000);
+  ASSERT_TRUE(h.bugs.empty());
+  std::set<TxnId> txns;
+  for (const Trace& t : h.traces) txns.insert(t.txn);
+  const std::string dir = TempDir("server_flat_ckpt");
+  net::VerifierServer::Options so;
+  so.expected_sessions = 0;
+  so.state_dir = dir;
+  so.checkpoint_interval_ms = 0;
+  net::VerifierServer server(h.config, so);
+  ASSERT_TRUE(server.Start().ok());
+  durable::CheckpointStore store;
+  ASSERT_TRUE(store.Init(dir).ok());
+  // Streams [begin, end) through a new session and closes its stream, so
+  // the pipeline drains completely; then checkpoints and returns the
+  // payload size. Nothing buffered means nothing timing-dependent in it.
+  std::vector<std::unique_ptr<net::VerifierClient>> sessions;
+  auto checkpoint_after = [&](size_t begin, size_t end) -> size_t {
+    sessions.push_back(StreamRange(server.port(), h.traces, begin, end));
+    EXPECT_NE(sessions.back(), nullptr);
+    if (sessions.back() == nullptr) return 0;
+    EXPECT_TRUE(sessions.back()->CloseStream(0).ok());
+    AwaitReceived(server, end);
+    for (int i = 0; i < 5000 && server.GetStatus().inflight_bytes > 0; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_EQ(server.GetStatus().inflight_bytes, 0u);
+    EXPECT_TRUE(server.TriggerCheckpoint().ok());
+    auto loaded = store.LoadNewest();
+    EXPECT_TRUE(loaded.ok()) << loaded.status();
+    return loaded.ok() ? loaded->payload.size() : size_t{0};
+  };
+  const size_t third = h.traces.size() / 3;
+  const size_t early = checkpoint_after(0, third);
+  const size_t late = checkpoint_after(third, h.traces.size());
+  sessions.clear();
+  server.Shutdown();
+  server.WaitReport();
+
+  // A txn -> client table would add 12 B for each of the ~2/3 of the
+  // transactions that arrived between the two checkpoints; allow a quarter
+  // of that for state that legitimately drifts with the history.
+  const double txns_between = txns.size() * 2.0 / 3.0;
+  EXPECT_GT(early, 0u);
+  EXPECT_LT(static_cast<double>(late) - static_cast<double>(early),
+            txns_between * 3.0)
+      << "early " << early << " B, late " << late << " B";
+}
+
+TEST(DurableServerTest, OlderCheckpointFormatFailsStartupByName) {
+  // Two checkpoints, so GC has dropped the log's first segment: without a
+  // loadable checkpoint the state cannot be rebuilt, and the startup error
+  // must say which checkpoint format was found.
+  const std::string dir = TempDir("server_old_ckpt");
+  VerifierConfig config = ConfigForMiniDb(Protocol::kMvcc2plSsi,
+                                          IsolationLevel::kSerializable);
+  net::VerifierServer::Options so;
+  so.expected_sessions = 0;
+  so.state_dir = dir;
+  so.checkpoint_interval_ms = 0;
+  auto traces = SampleTraces(60);
+  {
+    net::VerifierServer server(config, so);
+    ASSERT_TRUE(server.Start().ok());
+    auto client = StreamRange(server.port(), traces, 0, 30);
+    ASSERT_NE(client, nullptr);
+    AwaitReceived(server, 30);
+    ASSERT_TRUE(server.TriggerCheckpoint().ok());
+    for (size_t i = 30; i < traces.size(); ++i) {
+      ASSERT_TRUE(client->Push(0, traces[i]).ok());
+    }
+    ASSERT_TRUE(client->Flush(0).ok());
+    AwaitReceived(server, traces.size());
+    ASSERT_TRUE(server.TriggerCheckpoint().ok());
+    client.reset();
+    server.Shutdown();
+    server.WaitReport();
+  }
+  durable::CheckpointStore store;
+  ASSERT_TRUE(store.Init(dir).ok());
+  ASSERT_EQ(store.List().size(), 2u);
+  for (const auto& [cut, path] : store.List()) DowngradeCheckpointMagic(path);
+
+  net::VerifierServer server(config, so);
+  Status s = server.Start();
+  ASSERT_FALSE(s.ok());
+  EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(s.message().find("has format LEOCKP03"), std::string::npos) << s;
 }
 
 TEST(DurableServerTest, TriggerCheckpointWithoutStateDirFails) {

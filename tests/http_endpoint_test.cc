@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <map>
@@ -495,6 +496,46 @@ TEST(HttpEndpointTest, HealthzFlipsOn503WhenWatchdogFlagsStall) {
   slot->Beat();
   dog.CheckNow();
   EXPECT_EQ(ep.HandleRoute("/healthz", body, ctype), 200);
+}
+
+TEST(HttpEndpointTest, IdleServerPastStallThresholdStaysHealthy) {
+  // Acceptor, session reader and dispatcher all block waiting for input,
+  // and each suspends its heartbeat while it does: a server idle for many
+  // stall thresholds is idle, not wedged.
+  Watchdog::Options wo;
+  wo.check_interval_ms = 0;
+  wo.stall_threshold_ms = 20;
+  Watchdog dog(wo);
+  net::VerifierServer::Options so;
+  so.expected_sessions = 1;
+  so.watchdog = &dog;
+  net::VerifierServer server(
+      ConfigForMiniDb(Protocol::kMvcc2plSsi, IsolationLevel::kSerializable),
+      so);
+  ASSERT_TRUE(server.Start().ok());
+  HttpEndpoint::Options ho;
+  ho.watchdog = &dog;
+  HttpEndpoint ep(ho);
+  std::thread drain([&server] { server.WaitReport(); });
+
+  // One session handshakes and goes quiet; the acceptor waits for more.
+  auto client = net::VerifierClient::Connect(
+      "127.0.0.1:" + std::to_string(server.port()),
+      net::VerifierClient::Options{});
+  EXPECT_TRUE(client.ok()) << client.status();
+  std::this_thread::sleep_for(std::chrono::milliseconds(5 * 20));
+  dog.CheckNow();
+  std::string body, ctype;
+  EXPECT_EQ(ep.HandleRoute("/healthz", body, ctype), 200) << body;
+  EXPECT_EQ(body.rfind("ok", 0), 0u) << body;
+  EXPECT_EQ(dog.stalled_count(), 0u);
+
+  if (client.ok()) {
+    EXPECT_TRUE((*client)->Finish().ok());
+  } else {
+    server.Shutdown();
+  }
+  drain.join();
 }
 
 TEST(HttpEndpointTest, ServesOverLoopbackSocket) {

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
@@ -421,6 +422,43 @@ TEST(NetLoopbackTest, SingleSessionVerifiesClean) {
   EXPECT_EQ(registry.counter("net.traces_in")->Value(), total);
   EXPECT_GE(registry.counter("net.frames_in")->Value(), 3u);
   EXPECT_EQ(registry.counter("net.decode_errors")->Value(), 0u);
+}
+
+TEST(NetLoopbackTest, FinishToByeWaitsOutNoPollPeriod) {
+  // The drain wakes the blocked acceptor and readers with shutdown(2), so a
+  // trivial session's Finish() -> kBye costs the drain itself, not a timer.
+  std::vector<double> finish_ms;
+  for (uint64_t run = 0; run < 10; ++run) {
+    VerifierServer::Options so;
+    so.expected_sessions = 1;
+    VerifierServer server(PgSer(), so);
+    ASSERT_TRUE(server.Start().ok());
+    std::thread drain([&server] { server.WaitReport(); });
+    auto client = VerifierClient::Connect(
+        "127.0.0.1:" + std::to_string(server.port()),
+        VerifierClient::Options{});
+    EXPECT_TRUE(client.ok()) << client.status();
+    if (client.ok()) {
+      History h = BuildSerialHistory(run, 5);
+      for (Trace& t : h.traces) {
+        EXPECT_TRUE((*client)->Push(0, std::move(t)).ok());
+      }
+      const auto start = std::chrono::steady_clock::now();
+      auto bye = (*client)->Finish();
+      finish_ms.push_back(std::chrono::duration<double, std::milli>(
+                              std::chrono::steady_clock::now() - start)
+                              .count());
+      EXPECT_TRUE(bye.ok()) << bye.status();
+    } else {
+      server.Shutdown();
+    }
+    drain.join();
+  }
+  ASSERT_EQ(finish_ms.size(), 10u);
+  std::sort(finish_ms.begin(), finish_ms.end());
+  const double median = (finish_ms[4] + finish_ms[5]) / 2;
+  EXPECT_LT(median, 50.0) << "min " << finish_ms.front() << " ms, max "
+                          << finish_ms.back() << " ms";
 }
 
 TEST(NetLoopbackTest, ConcurrentSessionsFaultAndDisconnect) {

@@ -45,6 +45,25 @@ TEST(OnlineVerifierTest, DetectsViolationsOnline) {
   EXPECT_GE(online.Wait().stats().cr_violations, 1u);
 }
 
+TEST(OnlineVerifierTest, PushBatchMatchesPerTracePush) {
+  // The stale-read history above, admitted as two batches from two
+  // clients: same traces, same order per client, same verdict.
+  OnlineVerifier online(2, PgConfig());
+  online.PushBatch(0, {MakeWriteTrace(kLoadTxnId, 0, {1, 2}, {{1, 100}}),
+                       MakeCommitTrace(kLoadTxnId, 0, {3, 4}),
+                       MakeWriteTrace(7, 0, {10, 11}, {{1, 101}}),
+                       MakeCommitTrace(7, 0, {12, 13})});
+  online.PushBatch(1, {MakeReadTrace(8, 1, {50, 51}, {{1, 100}}),
+                       MakeCommitTrace(8, 1, {60, 61})});
+  online.PushBatch(1, {});
+  online.Close(0);
+  online.Close(1);
+  const Leopard& verifier = online.Wait();
+  EXPECT_EQ(verifier.stats().traces_processed, 6u);
+  EXPECT_EQ(online.verified_count(), 6u);
+  EXPECT_GE(verifier.stats().cr_violations, 1u);
+}
+
 TEST(OnlineVerifierTest, DestructorDrainsWithoutExplicitClose) {
   Leopard* result = nullptr;
   {

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <string>
 
+#include "common/rng.h"
 #include "trace/trace_io.h"
 
 namespace leopard {
@@ -208,6 +211,67 @@ TEST(TraceIoTest, LegacyFileWithoutFooterStillDecodes) {
   EXPECT_FALSE(had_crc);
   ASSERT_EQ(decoded->size(), traces.size());
   EXPECT_EQ((*decoded)[0].ToString(), traces[0].ToString());
+}
+
+/// The bytewise table-driven CRC32 that every footer was written with before
+/// the slicing-by-8 kernel; the reference the kernel must match bit for bit.
+uint32_t BytewiseCrc32(const std::string& bytes) {
+  uint32_t table[256];
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t c = i;
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    table[i] = c;
+  }
+  uint32_t crc = 0xFFFFFFFFu;
+  for (char ch : bytes) {
+    crc = table[(crc ^ static_cast<uint8_t>(ch)) & 0xFF] ^ (crc >> 8);
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+std::string RandomBytes(Rng& rng, size_t n) {
+  std::string out(n, '\0');
+  for (char& c : out) c = static_cast<char>(rng.Next());
+  return out;
+}
+
+TEST(Crc32Test, StandardCheckValue) {
+  const std::string check = "123456789";
+  EXPECT_EQ(Crc32(check.data(), check.size()), 0xCBF43926u);
+  EXPECT_EQ(Crc32(check.data(), 0), 0u);
+}
+
+TEST(Crc32Test, MatchesBytewiseReferenceOnRandomBuffers) {
+  Rng rng(7);
+  for (size_t n : {1u, 3u, 7u, 8u, 9u, 15u, 16u, 17u, 64u, 1000u, 65539u}) {
+    const std::string buf = RandomBytes(rng, n + 3);
+    // Every start alignment: the kernel reads 8-byte words at any offset.
+    for (size_t start = 0; start < 4; ++start) {
+      const std::string part = buf.substr(start, n);
+      EXPECT_EQ(Crc32(part.data(), part.size()), BytewiseCrc32(part))
+          << "n=" << n << " start=" << start;
+      EXPECT_EQ(Crc32(buf.data() + start, n), BytewiseCrc32(part))
+          << "n=" << n << " start=" << start;
+    }
+  }
+}
+
+TEST(Crc32Test, StreamedAtEverySplitEqualsOneShot) {
+  Rng rng(11);
+  const std::string buf = RandomBytes(rng, 200);
+  const uint32_t whole = Crc32(buf.data(), buf.size());
+  for (size_t split = 0; split <= buf.size(); ++split) {
+    const uint32_t head = Crc32Update(0, buf.data(), split);
+    EXPECT_EQ(Crc32Update(head, buf.data() + split, buf.size() - split),
+              whole)
+        << "split " << split;
+  }
+  // Many small appends, as the WAL folds batch after batch.
+  uint32_t crc = 0;
+  for (size_t pos = 0, step = 1; pos < buf.size(); pos += step, ++step) {
+    crc = Crc32Update(crc, buf.data() + pos, std::min(step, buf.size() - pos));
+  }
+  EXPECT_EQ(crc, whole);
 }
 
 TEST(TraceIoTest, MissingFileIsNotFound) {

@@ -17,7 +17,8 @@
 //   --max-streams=N       [256] stream capacity across all sessions
 //   --protocol=pg|innodb|occ|to|2pl|percolator|sqlite   [pg]
 //   --isolation=rc|rr|si|ser                     [ser]
-//   --idle-timeout-ms=N   [30000]
+//   --idle-timeout-ms=N   [30000] fail a session silent this long while
+//                               it has open streams (0 = never)
 //   --max-inflight-mb=N   [64]  backpressure threshold
 //   --metrics-out=FILE(.json|.csv)
 //   --progress-interval-ms=N    [0 = off]
