@@ -2,32 +2,34 @@
 #define LEOPARD_COMMON_SPSC_QUEUE_H_
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <mutex>
-#include <thread>
+#include <utility>
 #include <vector>
 
 namespace leopard {
 
 /// Bounded single-producer/single-consumer queue: a Lamport ring buffer with
-/// acquire/release index publication, plus a parked-consumer wakeup path so
-/// an idle consumer does not spin a core away (the sharded verifier runs one
-/// queue per worker; on small machines the workers outnumber the cores).
+/// acquire/release index publication.
 ///
 /// Contract: exactly one thread calls Push, and at most one thread at a
-/// time acts as the consumer (TryPop/PopWait/Front/PopFront). The consumer
-/// role may be handed between threads provided the handoff synchronizes
-/// (the sharded verifier's work-stealing workers serialize it through a
-/// per-shard acquire/release claim flag, which also publishes the
-/// consumer-local tail cache). Push blocks (spin, then yield) when the ring
-/// is full —
-/// that back-pressure is what bounds the sharded verifier's memory. A dead
-/// or wedged consumer would otherwise trap the producer in that spin
-/// forever; Poison() is the shutdown escape — any thread may call it, after
-/// which a full-ring Push gives up and returns false instead of waiting for
-/// space that will never come.
+/// time acts as the consumer (TryPop/Front/PopFront). The consumer role may
+/// be handed between threads provided the handoff synchronizes (the sharded
+/// verifier's work-stealing workers serialize it through a per-shard
+/// acquire/release claim flag, which also publishes the consumer-local tail
+/// cache).
+///
+/// Push blocks when the ring is full — that back-pressure is what bounds the
+/// sharded verifier's memory — and a blocked producer sleeps on a condition
+/// variable instead of spinning. It raises `producer_parked_`, fences and
+/// re-reads the head before it waits; the consumer fences and reads the flag
+/// once every capacity/2 pops. The ring was full when the producer parked,
+/// so the consumer passes such a check within capacity/2 further pops and
+/// no wake-up is lost, while one wake-up hands the producer up to half a
+/// ring. Poison() is the shutdown escape from a dead or wedged consumer:
+/// any thread may call it, after which a full-ring Push gives up and returns
+/// false instead of waiting for space that will never come.
 template <typename T>
 class SpscQueue {
  public:
@@ -37,6 +39,7 @@ class SpscQueue {
     while (cap < capacity) cap <<= 1;
     ring_.resize(cap);
     mask_ = cap - 1;
+    wake_mask_ = cap / 2 - 1;
   }
   SpscQueue(const SpscQueue&) = delete;
   SpscQueue& operator=(const SpscQueue&) = delete;
@@ -46,38 +49,33 @@ class SpscQueue {
   /// finds space proceeds even when poisoned — the element is already
   /// bought and the consumer may still drain.
   bool Push(T item) {
+    return Push(std::move(item), [] {});
+  }
+
+  /// Push, with `on_full` run once before the producer sleeps on a full
+  /// ring: the place to wake a consumer that may itself be asleep.
+  template <typename OnFull>
+  bool Push(T item, OnFull&& on_full) {
     const size_t tail = tail_.load(std::memory_order_relaxed);
-    // Full when tail catches up to head + capacity; spin-then-yield until
-    // the consumer frees a slot or someone poisons the queue.
-    size_t spins = 0;
-    while (tail - head_cache_ > mask_) {
+    if (tail - head_cache_ > mask_) {
       head_cache_ = head_.load(std::memory_order_acquire);
       if (tail - head_cache_ > mask_) {
-        if (poisoned_.load(std::memory_order_acquire)) return false;
-        if (++spins < 64) {
-          // brief busy wait
-        } else {
-          std::this_thread::yield();
-        }
+        on_full();
+        if (!WaitForSpace(tail)) return false;
       }
     }
     ring_[tail & mask_] = std::move(item);
     tail_.store(tail + 1, std::memory_order_release);
-    if (consumer_parked_.load(std::memory_order_acquire)) {
-      std::lock_guard<std::mutex> lock(park_mu_);
-      park_cv_.notify_one();
-    }
     return true;
   }
 
   /// Shutdown escape: unblocks a producer stuck in Push on a full ring
-  /// (future full-ring pushes fail fast too) and wakes a parked consumer so
-  /// it can observe termination. Elements already in the ring stay
-  /// poppable. Safe from any thread; irreversible.
+  /// (future full-ring pushes fail fast too). Elements already in the ring
+  /// stay poppable. Safe from any thread; irreversible.
   void Poison() {
     poisoned_.store(true, std::memory_order_release);
     std::lock_guard<std::mutex> lock(park_mu_);
-    park_cv_.notify_one();
+    space_cv_.notify_one();
   }
 
   bool poisoned() const { return poisoned_.load(std::memory_order_acquire); }
@@ -90,7 +88,7 @@ class SpscQueue {
       if (head == tail_cache_) return false;
     }
     out = std::move(ring_[head & mask_]);
-    head_.store(head + 1, std::memory_order_release);
+    Advance(head);
     return true;
   }
 
@@ -115,36 +113,11 @@ class SpscQueue {
   void PopFront() {
     const size_t head = head_.load(std::memory_order_relaxed);
     ring_[head & mask_] = T();
-    head_.store(head + 1, std::memory_order_release);
+    Advance(head);
   }
 
-  /// Consumer side: TryPop with a bounded park when the ring is empty.
-  /// Returns false if nothing arrived within `max_wait` (spurious wakeups
-  /// and missed notifies are absorbed by the timeout — callers loop).
-  bool PopWait(T& out, std::chrono::microseconds max_wait) {
-    if (TryPop(out)) return true;
-    for (int i = 0; i < 64; ++i) {
-      std::this_thread::yield();
-      if (TryPop(out)) return true;
-    }
-    consumer_parked_.store(true, std::memory_order_release);
-    {
-      std::unique_lock<std::mutex> lock(park_mu_);
-      // Re-check under the lock: a push that raced with the park flag has
-      // either published its element (visible to TryPop now) or will take
-      // the lock and notify after we wait. The timeout absorbs the rest.
-      if (!TryPop(out)) {
-        park_cv_.wait_for(lock, max_wait);
-      } else {
-        consumer_parked_.store(false, std::memory_order_release);
-        return true;
-      }
-    }
-    consumer_parked_.store(false, std::memory_order_release);
-    return TryPop(out);
-  }
-
-  /// Approximate occupancy; safe from any thread (monitoring only).
+  /// Approximate occupancy; safe from any thread (monitoring, and the
+  /// sharded verifier's has-work checks before a thread sleeps).
   size_t ApproxSize() const {
     const size_t tail = tail_.load(std::memory_order_relaxed);
     const size_t head = head_.load(std::memory_order_relaxed);
@@ -154,6 +127,35 @@ class SpscQueue {
   size_t capacity() const { return mask_ + 1; }
 
  private:
+  void Advance(size_t head) {
+    head_.store(head + 1, std::memory_order_release);
+    if (((head + 1) & wake_mask_) != 0) return;
+    // Pairs with the fence in WaitForSpace: either this load sees the
+    // producer parked, or the producer's head re-read sees this pop.
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    if (producer_parked_.load(std::memory_order_relaxed)) {
+      std::lock_guard<std::mutex> lock(park_mu_);
+      space_cv_.notify_one();
+    }
+  }
+
+  bool WaitForSpace(size_t tail) {
+    std::unique_lock<std::mutex> lock(park_mu_);
+    producer_parked_.store(true, std::memory_order_relaxed);
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    bool ok = true;
+    while (tail - (head_cache_ = head_.load(std::memory_order_acquire)) >
+           mask_) {
+      if (poisoned_.load(std::memory_order_acquire)) {
+        ok = false;
+        break;
+      }
+      space_cv_.wait(lock);
+    }
+    producer_parked_.store(false, std::memory_order_relaxed);
+    return ok;
+  }
+
   // Producer and consumer indices live on separate cache lines so the two
   // threads never false-share; each side caches the other's index to avoid
   // touching the shared line on every call.
@@ -163,11 +165,13 @@ class SpscQueue {
   alignas(64) size_t tail_cache_ = 0;        // consumer-local
   std::vector<T> ring_;
   size_t mask_ = 0;
+  size_t wake_mask_ = 0;  // consumer checks for a parked producer when
+                          // (head & wake_mask_) == 0
 
-  std::atomic<bool> consumer_parked_{false};
+  alignas(64) std::atomic<bool> producer_parked_{false};
   std::atomic<bool> poisoned_{false};
   std::mutex park_mu_;
-  std::condition_variable park_cv_;
+  std::condition_variable space_cv_;
 };
 
 }  // namespace leopard

@@ -228,6 +228,7 @@ void OnlineVerifier::Loop() {
         verified_.fetch_add(1, std::memory_order_relaxed);
         verified_bytes_.fetch_add(bytes, std::memory_order_relaxed);
       }
+      engine_.EndBatch();
       // Single-shard verification happens inline in Process, so any bug it
       // found is visible now — stream it while the producers still run.
       if (on_bug_ && engine_.n_shards() == 1) {

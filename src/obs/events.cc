@@ -4,6 +4,7 @@
 #include <cstdarg>
 #include <cstdio>
 #include <fcntl.h>
+#include <thread>
 #include <unistd.h>
 
 #include "obs/export.h"
@@ -51,20 +52,60 @@ EventJournal::~EventJournal() = default;
 
 void EventJournal::Record(EventSeverity severity, const char* component,
                           const char* message) {
-  uint64_t seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
+  const uint64_t seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
   Slot& slot = slots_[seq & mask_];
-  // Mark the slot in-progress. Another writer lapping us (capacity_ events
-  // recorded while we fill this slot) can interleave; the version check on
-  // the reader side discards the torn result either way, so the journal
-  // stays consistent even under that pathological contention.
-  uint64_t v = slot.version.load(std::memory_order_relaxed);
-  slot.version.store(v | 1, std::memory_order_release);
-  slot.seq = seq;
-  slot.ts_ns = NowNs();
-  slot.severity = severity;
-  CopyTruncated(slot.component, sizeof(slot.component), component);
-  CopyTruncated(slot.message, sizeof(slot.message), message);
-  slot.version.store((v | 1) + 1, std::memory_order_release);
+  const uint64_t published = 2 * (seq + 1);
+  uint64_t v = slot.version.load(std::memory_order_acquire);
+  for (;;) {
+    // A newer event (one lap ahead) claimed or published the slot: ours is
+    // already out of the window, so give the slot up.
+    if (v >= published) return;
+    // The event one lap behind is still being written: wait for it.
+    if (v & 1) {
+      std::this_thread::yield();
+      v = slot.version.load(std::memory_order_acquire);
+      continue;
+    }
+    if (slot.version.compare_exchange_weak(v, published - 1,
+                                           std::memory_order_acquire)) {
+      break;
+    }
+  }
+  uint64_t text[kTextWords] = {};
+  char* bytes = reinterpret_cast<char*>(text);
+  bytes[0] = static_cast<char>(severity);
+  CopyTruncated(bytes + 1, sizeof(Event::component), component);
+  CopyTruncated(bytes + 1 + sizeof(Event::component), sizeof(Event::message),
+                message);
+  // Release stores order the in-progress version before the payload: a
+  // reader that sees any payload word sees the odd version on its re-check.
+  slot.ts_ns.store(NowNs(), std::memory_order_release);
+  for (size_t i = 0; i < kTextWords; ++i) {
+    slot.text[i].store(text[i], std::memory_order_release);
+  }
+  slot.version.store(published, std::memory_order_release);
+}
+
+bool EventJournal::ReadEvent(uint64_t seq, Event& out) const {
+  const Slot& slot = slots_[seq & mask_];
+  const uint64_t published = 2 * (seq + 1);
+  if (slot.version.load(std::memory_order_acquire) != published) return false;
+  uint64_t text[kTextWords];
+  const uint64_t ts_ns = slot.ts_ns.load(std::memory_order_acquire);
+  for (size_t i = 0; i < kTextWords; ++i) {
+    text[i] = slot.text[i].load(std::memory_order_acquire);
+  }
+  if (slot.version.load(std::memory_order_relaxed) != published) return false;
+  const char* bytes = reinterpret_cast<const char*>(text);
+  out.seq = seq;
+  out.ts_ns = ts_ns;
+  out.severity = static_cast<EventSeverity>(bytes[0]);
+  std::memcpy(out.component, bytes + 1, sizeof(out.component));
+  std::memcpy(out.message, bytes + 1 + sizeof(out.component),
+              sizeof(out.message));
+  out.component[sizeof(out.component) - 1] = '\0';
+  out.message[sizeof(out.message) - 1] = '\0';
+  return true;
 }
 
 void EventJournal::Recordf(EventSeverity severity, const char* component,
@@ -84,22 +125,8 @@ std::vector<Event> EventJournal::Snapshot(size_t max_n) const {
   std::vector<Event> out;
   out.reserve(static_cast<size_t>(end - begin));
   for (uint64_t seq = begin; seq < end; ++seq) {
-    const Slot& slot = slots_[seq & mask_];
-    uint64_t v1 = slot.version.load(std::memory_order_acquire);
-    if (v1 & 1) continue;  // write in progress
     Event e;
-    e.seq = slot.seq;
-    e.ts_ns = slot.ts_ns;
-    e.severity = slot.severity;
-    std::memcpy(e.component, slot.component, sizeof(e.component));
-    std::memcpy(e.message, slot.message, sizeof(e.message));
-    std::atomic_thread_fence(std::memory_order_acquire);
-    uint64_t v2 = slot.version.load(std::memory_order_relaxed);
-    if (v1 != v2) continue;  // torn: overwritten during the copy
-    if (e.seq != seq) continue;  // slot already holds a newer generation
-    e.component[sizeof(e.component) - 1] = '\0';
-    e.message[sizeof(e.message) - 1] = '\0';
-    out.push_back(e);
+    if (ReadEvent(seq, e)) out.push_back(e);
   }
   return out;
 }
@@ -160,31 +187,30 @@ void FatalDumpLocked(int fd, const EventJournal* j, bool json) {
   uint64_t begin = end > j->capacity_ ? end - j->capacity_ : 0;
   bool first = true;
   for (uint64_t seq = begin; seq < end; ++seq) {
-    const EventJournal::Slot& slot = j->slots_[seq & j->mask_];
-    if (slot.version.load(std::memory_order_acquire) & 1) continue;
-    if (slot.seq != seq) continue;
+    Event e;
+    if (!j->ReadEvent(seq, e)) continue;
     if (json) {
       if (!first) WriteStr(fd, ",");
       WriteStr(fd, "{\"seq\":");
-      WriteU64(fd, slot.seq);
+      WriteU64(fd, e.seq);
       WriteStr(fd, ",\"ts_ns\":");
-      WriteU64(fd, slot.ts_ns);
+      WriteU64(fd, e.ts_ns);
       WriteStr(fd, ",\"severity\":\"");
-      WriteStr(fd, EventSeverityName(slot.severity));
+      WriteStr(fd, EventSeverityName(e.severity));
       WriteStr(fd, "\",\"component\":\"");
-      WriteStr(fd, slot.component);  // components/messages are internal
+      WriteStr(fd, e.component);  // components/messages are internal
       WriteStr(fd, "\",\"message\":\"");
-      WriteStr(fd, slot.message);  // strings; no quotes to escape
+      WriteStr(fd, e.message);  // strings; no quotes to escape
       WriteStr(fd, "\"}");
     } else {
       WriteStr(fd, "[event ");
-      WriteU64(fd, slot.seq);
+      WriteU64(fd, e.seq);
       WriteStr(fd, "] ");
-      WriteStr(fd, EventSeverityName(slot.severity));
+      WriteStr(fd, EventSeverityName(e.severity));
       WriteStr(fd, " ");
-      WriteStr(fd, slot.component);
+      WriteStr(fd, e.component);
       WriteStr(fd, ": ");
-      WriteStr(fd, slot.message);
+      WriteStr(fd, e.message);
       WriteStr(fd, "\n");
     }
     first = false;

@@ -7,16 +7,23 @@
 // question is "what state transitions led here?", not "what is the counter
 // value now?". The journal is a ring of the last N discrete events (session
 // open/close, shard stall, backpressure engage/release, GC advance,
-// violation, diagnosis start/done). Writers are wait-free apart from one
-// fetch_add; payloads are fixed-size char arrays so recording never
-// allocates and is safe from latency-sensitive pipeline threads.
+// violation, diagnosis start/done). Writers take one fetch_add and one CAS;
+// payloads are fixed-size char arrays so recording never allocates and is
+// safe from latency-sensitive pipeline threads.
 //
-// Concurrency: each slot carries a seqlock-style version. A writer claims a
-// global sequence number with fetch_add, bumps the slot version to odd
-// (in-progress), fills the payload, then publishes an even version. Readers
-// (the HTTP endpoint, the fatal-signal dump) copy the slot and retry/skip if
-// the version changed underneath them — a torn slot is dropped, never
-// half-reported.
+// Concurrency: each slot carries a seqlock-style version naming the event
+// that owns it. A writer claims a global sequence number with fetch_add,
+// then claims the slot by CAS-ing its version to "seq, in progress" (odd),
+// fills the payload, and publishes "seq, done" (even). Two writers one ring
+// apart map to the same slot; only the newer event may end up there. A
+// writer that finds a newer event's version in the slot has been lapped and
+// gives the slot up; one that finds an older event still in progress waits
+// for it to publish (this only happens when capacity() events are recorded
+// while one writer fills its slot). So at most one writer ever stores a
+// slot's payload at a time. The payload is stored and loaded with
+// release/acquire atomics, and readers (the HTTP endpoint, the fatal-signal dump) keep a
+// copy only if the slot held their event's published version before and
+// after the copy — a torn slot is dropped, never half-reported.
 
 #include <atomic>
 #include <cstdint>
@@ -79,15 +86,22 @@ class EventJournal {
                                const std::string& path);
 
  private:
+  /// Severity, component and message, packed into 8-byte words.
+  static constexpr size_t kTextWords =
+      (1 + sizeof(Event::component) + sizeof(Event::message) + 7) / 8;
+
   struct Slot {
-    // Even = published `(version/2)`-th write; odd = write in progress.
+    // 2 * (seq + 1) once event `seq` is published here, one less while its
+    // writer fills the payload; 0 = never written.
     std::atomic<uint64_t> version{0};
-    uint64_t seq = 0;
-    uint64_t ts_ns = 0;
-    EventSeverity severity = EventSeverity::kInfo;
-    char component[24] = {0};
-    char message[104] = {0};
+    std::atomic<uint64_t> ts_ns{0};
+    std::atomic<uint64_t> text[kTextWords] = {};
   };
+
+  /// Copies event `seq` out of its slot; false when the slot holds another
+  /// event, is mid-write, or was overwritten during the copy.
+  /// Async-signal-safe.
+  bool ReadEvent(uint64_t seq, Event& out) const;
 
   friend void FatalDumpLocked(int fd, const EventJournal* j, bool json);
 

@@ -57,16 +57,21 @@ std::vector<std::string> Watchdog::StalledThreads() const {
 void Watchdog::CheckNow() { Sweep(NowNs()); }
 
 void Watchdog::Stop() {
-  stop_.store(true, std::memory_order_relaxed);
+  {
+    std::lock_guard<std::mutex> lock(stop_mu_);
+    stop_ = true;
+  }
+  stop_cv_.notify_all();
   if (monitor_.joinable()) monitor_.join();
 }
 
 void Watchdog::MonitorLoop() {
-  while (!stop_.load(std::memory_order_relaxed)) {
-    std::this_thread::sleep_for(
-        std::chrono::milliseconds(opts_.check_interval_ms));
-    if (stop_.load(std::memory_order_relaxed)) break;
+  const auto interval = std::chrono::milliseconds(opts_.check_interval_ms);
+  std::unique_lock<std::mutex> lock(stop_mu_);
+  while (!stop_cv_.wait_for(lock, interval, [this] { return stop_; })) {
+    lock.unlock();
     Sweep(NowNs());
+    lock.lock();
   }
 }
 

@@ -16,6 +16,7 @@
 // Suspend()/Resume() so idleness is not misreported as a stall.
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -83,6 +84,8 @@ class Watchdog {
   void CheckNow();
 
   /// Stops the monitor thread. Idempotent; also run by the destructor.
+  /// Wakes the monitor out of its check-interval wait, so it returns at
+  /// once instead of after up to one interval.
   void Stop();
 
  private:
@@ -95,7 +98,9 @@ class Watchdog {
   std::atomic<size_t> stalled_{0};
   Gauge* m_stalled_ = nullptr;
 
-  std::atomic<bool> stop_{false};
+  std::mutex stop_mu_;
+  std::condition_variable stop_cv_;
+  bool stop_ = false;  // guarded by stop_mu_
   std::thread monitor_;
 };
 

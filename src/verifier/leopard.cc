@@ -283,7 +283,13 @@ void Leopard::ProcessTerminal(const Trace& trace, bool committed) {
     // Materialize dependency edges that were waiting for this commit.
     std::vector<PendingEdge> pending = std::move(t.pending);
     t.pending.clear();
-    for (const auto& e : pending) EmitEdge(e.from, e.to, e.type);
+    for (const auto& e : pending) {
+      if (edge_sink_) {
+        HoldOrSink(e.from, e.to, e.type);
+      } else {
+        EmitEdge(e.from, e.to, e.type);
+      }
+    }
     if (config_.check_sc && config_.certifier == CertifierMode::kFullDfs) {
       obs::ScopedSpan sc_span(span_.sc_ns);
       auto violation = graph_.FullCycleSearch();
@@ -367,11 +373,7 @@ void Leopard::Deduce(TxnId from, TxnId to, DepType type) {
   if (from == to) return;
   ++stats_.deps_deduced;
   if (edge_sink_) {
-    // Sharded mode: the edge flows to the external certifier, which owns
-    // commit/abort gating and the dependency graph. Edges involving aborted
-    // transactions are forwarded too — the certifier drops them, exactly as
-    // the local path below would.
-    edge_sink_(from, to, type);
+    HoldOrSink(from, to, type);
     return;
   }
   if (!config_.check_sc) return;
@@ -394,6 +396,24 @@ void Leopard::Deduce(TxnId from, TxnId to, DepType type) {
   // Park the edge on one active endpoint; its terminal trace resolves it.
   TxnId holder = sf == TxnStatus::kActive ? from : to;
   txns_[holder].pending.push_back(PendingEdge{from, to, type});
+}
+
+void Leopard::HoldOrSink(TxnId from, TxnId to, DepType type) {
+  // Sharded mode: gate on the fates this verifier sees, as the local path
+  // does, so the external certifier never parks an edge for a fate. A txn
+  // no longer registered here has settled (its terminal was forwarded
+  // first) or only reached this shard through a key migration; the
+  // certifier resolves both.
+  for (TxnId id : {from, to}) {
+    auto it = txns_.find(id);
+    if (it == txns_.end()) continue;
+    if (it->second.status == TxnStatus::kActive) {
+      it->second.pending.push_back(PendingEdge{from, to, type});
+      return;
+    }
+    if (it->second.status == TxnStatus::kAborted) return;
+  }
+  edge_sink_(from, to, type);
 }
 
 void Leopard::EmitEdge(TxnId from, TxnId to, DepType type) {

@@ -75,11 +75,15 @@ class Leopard {
   /// would — keys the shard never sees still advance its frontier.
   void AdvanceFrontier(Timestamp ts);
 
-  /// Deduced-dependency sink. When set, every wr/ww/rw dependency deduced by
-  /// CR/ME/FUW is handed to the sink instead of the internal serialization
-  /// certifier — commit/abort gating and cycle checking become the sink
-  /// owner's job (the sharded engine's certifier thread). Set before the
-  /// first Process().
+  /// Deduced-dependency sink. When set, wr/ww/rw dependencies deduced by
+  /// CR/ME/FUW go to the sink instead of the internal serialization
+  /// certifier, which the sink owner (the sharded engine's certifier thread)
+  /// replaces. Every edge comes from one key that both endpoints touched, so
+  /// this verifier sees both terminals: an edge is held on an endpoint still
+  /// active here, dropped once an endpoint aborts here, and handed to the
+  /// sink only when neither is active — the sink owner learns each fate
+  /// (from the terminal trace) before any edge that depends on it. Set
+  /// before the first Process().
   using EdgeSink = std::function<void(TxnId from, TxnId to, DepType type)>;
   void SetEdgeSink(EdgeSink sink) { edge_sink_ = std::move(sink); }
 
@@ -176,8 +180,9 @@ class Leopard {
   /// operations had never been routed here (transactions that touched other
   /// keys too stay registered, minus this key's footprint). Never returns
   /// nullptr — a key with no state yields an empty bundle, which InstallKey-
-  /// State treats as a no-op. Sharded-engine use only (requires the edge
-  /// sink, so no parked dependency edges exist to carry).
+  /// State treats as a no-op. Sharded-engine use only. Edges held for a
+  /// transaction's fate stay here with the transaction, which keeps
+  /// receiving its terminal.
   std::unique_ptr<KeyStateBundle> ExtractKeyState(Key key);
 
   /// Receiving side of a key migration. The caller (the sharded engine's
@@ -263,6 +268,9 @@ class Leopard {
   void MarkVersionsCommitted(TxnState& txn);
   void Deduce(TxnId from, TxnId to, DepType type);
   void EmitEdge(TxnId from, TxnId to, DepType type);
+  /// Edge-sink mode: hold on an active endpoint, drop on an aborted one,
+  /// otherwise hand to the sink.
+  void HoldOrSink(TxnId from, TxnId to, DepType type);
   void ReportBug(BugType type, Key key, std::vector<TxnId> txns,
                  std::string detail);
   /// Structured overload: `bug.ts` is derived from the ops when left 0.

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <set>
 #include <string>
 #include <thread>
@@ -13,6 +16,7 @@
 #include "common/rng.h"
 #include "common/slab_map.h"
 #include "common/small_vector.h"
+#include "common/spsc_queue.h"
 #include "common/status.h"
 
 namespace leopard {
@@ -347,6 +351,39 @@ TEST(SlabMapTest, RandomizedAgainstStdUnorderedMap) {
     ++visited;
   }
   EXPECT_EQ(visited, ref.size());
+}
+
+double ThreadCpuMs() {
+  rusage ru{};
+  getrusage(RUSAGE_THREAD, &ru);
+  return (ru.ru_utime.tv_sec + ru.ru_stime.tv_sec) * 1e3 +
+         (ru.ru_utime.tv_usec + ru.ru_stime.tv_usec) / 1e3;
+}
+
+// A producer blocked on a full ring sleeps instead of spinning: 200 ms of
+// waiting must cost it almost no CPU, and it must still wake once the
+// consumer frees space.
+TEST(SpscQueueTest, ProducerBlockedOnFullRingSleeps) {
+  SpscQueue<int> q(8);
+  for (int i = 0; i < 8; ++i) ASSERT_TRUE(q.Push(i));
+  std::atomic<bool> pushed{false};
+  double blocked_cpu_ms = -1;
+  std::thread producer([&] {
+    const double before = ThreadCpuMs();
+    EXPECT_TRUE(q.Push(8));  // full ring: blocks until the consumer pops
+    blocked_cpu_ms = ThreadCpuMs() - before;
+    pushed.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  EXPECT_FALSE(pushed.load());
+  for (int want = 0; want <= 8; ++want) {
+    int got = -1;
+    while (!q.TryPop(got)) std::this_thread::yield();
+    EXPECT_EQ(got, want);
+  }
+  producer.join();
+  EXPECT_TRUE(pushed.load());
+  EXPECT_LT(blocked_cpu_ms, 20.0);
 }
 
 }  // namespace

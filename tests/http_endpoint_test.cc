@@ -379,6 +379,20 @@ TEST(WatchdogTest, SuspendedAndRetiredSlotsNeverFlag) {
   EXPECT_EQ(dog.stalled_count(), 0u);
 }
 
+// Stop() wakes the monitor out of its check-interval wait: a server that
+// has sent its report must not linger for up to one interval before exit.
+TEST(WatchdogTest, StopReturnsWithoutWaitingOutTheInterval) {
+  Watchdog::Options wo;
+  wo.check_interval_ms = 1000;
+  Watchdog dog(wo);
+  // Let the monitor enter its wait first.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const auto start = std::chrono::steady_clock::now();
+  dog.Stop();
+  const auto took = std::chrono::steady_clock::now() - start;
+  EXPECT_LT(took, std::chrono::milliseconds(50));
+}
+
 // ---------------------------------------------------------------------------
 // HTTP endpoint routing (in-process) and loopback socket serving.
 

@@ -15,6 +15,8 @@
 
 #include "common/rng.h"
 #include "fuzz_history_util.h"
+#include "obs/metrics.h"
+#include "obs/registry.h"
 #include "verifier/mechanism_table.h"
 #include "verifier/sharded_leopard.h"
 #include "workload/workload.h"
@@ -461,6 +463,53 @@ TEST(ShardedLeopard, RangeReadsVerifyIdenticallyWhenSharded) {
   const VerifyReport sharded2 = RunEngine(PgSer(), traces, 4);
   EXPECT_GE(oracle2.stats.cr_violations, 1u);
   EXPECT_EQ(NonScBugStrings(oracle2), NonScBugStrings(sharded2));
+}
+
+// Terminals reach only the shards a transaction touched, so a shard that
+// owns none of the keys in play receives no traces at all. It must not pin
+// the certifier's garbage collection (the minimum of every shard's safe
+// timestamp): the router ticks it with its frontier and safe bound, and the
+// certifier's graph stays bounded over a long stretch of commits.
+TEST(ShardedLeopard, ColdShardDoesNotPinCertifierGc) {
+  constexpr uint32_t kShards = 4;
+  constexpr uint32_t kCold = 3;
+  std::vector<Key> keys;
+  for (Key k = 0; keys.size() < 16; ++k) {
+    if (ShardedLeopard::ShardOfKey(k, kShards) != kCold) keys.push_back(k);
+  }
+  obs::MetricsRegistry registry;
+  ShardedLeopard::Options options;
+  options.n_shards = kShards;
+  options.metrics = &registry;
+  ShardedLeopard engine(PgSer(), options);
+
+  std::vector<WriteAccess> load;
+  std::vector<Value> current;
+  for (Key k : keys) {
+    load.push_back({k, MakeLoadValue(k)});
+    current.push_back(MakeLoadValue(k));
+  }
+  engine.Process(MakeWriteTrace(kLoadTxnId, 0, {10, 13}, load));
+  engine.Process(MakeCommitTrace(kLoadTxnId, 0, {20, 23}));
+  // 20000 serial read-modify-write transactions, one key each.
+  constexpr uint64_t kTxns = 20000;
+  Timestamp ts = 100;
+  for (uint64_t i = 0; i < kTxns; ++i) {
+    const TxnId txn = i + 1;
+    const size_t slot = i % keys.size();
+    const Value next = MakeClientValue(1, i + 1);
+    engine.Process(MakeReadTrace(txn, 1, {ts, ts + 3}, {{keys[slot],
+                                                         current[slot]}}));
+    engine.Process(MakeWriteTrace(txn, 1, {ts + 10, ts + 13},
+                                  {{keys[slot], next}}));
+    engine.Process(MakeCommitTrace(txn, 1, {ts + 20, ts + 23}));
+    current[slot] = next;
+    ts += 30;
+  }
+  engine.Finish();
+  EXPECT_EQ(engine.report().stats.TotalViolations(), 0u);
+  EXPECT_GT(engine.report().stats.pruned_txns, kTxns / 2);
+  EXPECT_LT(registry.gauge("sharded.certifier.graph_nodes")->Value(), 1000);
 }
 
 }  // namespace

@@ -14,6 +14,8 @@
 //                   engine with skew-adaptive rebalancing enabled (hot-key
 //                   migration + work stealing + batched SC certification);
 //                   guards the skew-handling path end to end.
+//   zipf_1shard   — the same zipfian traces through the 1-shard engine:
+//                   the number sharding has to beat.
 //
 // A `calib_mops` score (fixed integer-mixing loop) normalizes scores across
 // machines: CI compares normalized throughput against the committed
@@ -24,12 +26,17 @@
 //   bench_baseline [--txns=N] [--clients=N] [--seed=N] [--repeat=N]
 //                  [--label=STR] [--out=PATH]
 //                  [--compare=PATH] [--max-regress=0.20] [--gate=METRIC]
+//                  [--ratio-gate=PATH]
 //
 // --compare reads a previous snapshot (or a BENCH_PR*.json trajectory file,
 // in which case the "after" snapshot is used) and exits nonzero when the
 // calibration-normalized throughput of the gating metric (--gate, default
 // "verify"; the skew perf-smoke job gates on "sharded_zipf") regressed by
 // more than --max-regress.
+//
+// --ratio-gate reads "min_ratio" from a file (BENCH_PR13.json) and exits
+// nonzero when sharded_zipf / zipf_1shard — 4 shards against 1 on the same
+// traces, same machine, same run — falls below it.
 
 #include <algorithm>
 #include <cstdint>
@@ -62,6 +69,7 @@ struct Options {
   std::string compare;
   double max_regress = 0.20;
   std::string gate = "verify";
+  std::string ratio_gate;
 };
 
 struct Score {
@@ -160,7 +168,7 @@ Score MeasureAwdit(const Options& opt) {
   return best;
 }
 
-Score MeasureShardedZipf(const Options& opt) {
+Score MeasureShardedZipf(const Options& opt, uint32_t n_shards) {
   YcsbWorkload::Options wo;
   wo.record_count = 2000;
   wo.theta = 0.99;
@@ -172,8 +180,8 @@ Score MeasureShardedZipf(const Options& opt) {
   Score best;
   for (int r = 0; r < opt.repeat; ++r) {
     ShardedLeopard::Options so;
-    so.n_shards = 4;
-    so.enable_rebalance = true;
+    so.n_shards = n_shards;
+    so.enable_rebalance = n_shards > 1;
     ShardedLeopard engine(
         ConfigForMiniDb(Protocol::kMvcc2plSsi, IsolationLevel::kSerializable),
         so);
@@ -326,17 +334,42 @@ double ExtractNumber(const std::string& text, const std::string& section,
   return std::strtod(body.c_str() + pos + 1, nullptr);
 }
 
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path);
+  if (!in) return "";
+  std::stringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+int RatioGate(const Options& opt, const Score& sharded, const Score& one) {
+  const double floor = ExtractNumber(ReadFile(opt.ratio_gate), "", "min_ratio");
+  if (floor <= 0) {
+    std::fprintf(stderr, "%s has no min_ratio\n", opt.ratio_gate.c_str());
+    return 2;
+  }
+  const double ratio = one.per_sec > 0 ? sharded.per_sec / one.per_sec : 0;
+  std::printf("ratio gate (%s): sharded_zipf %.0f/s / zipf_1shard %.0f/s = "
+              "%.3f (min %.3f)\n",
+              opt.ratio_gate.c_str(), sharded.per_sec, one.per_sec, ratio,
+              floor);
+  if (ratio < floor) {
+    std::fprintf(stderr,
+                 "PERF REGRESSION: 4-shard/1-shard ratio %.3f below %.3f\n",
+                 ratio, floor);
+    return 1;
+  }
+  return 0;
+}
+
 int Compare(const Options& opt, double calib, const Score& verify,
-            const Score& sharded, const Score& pk, const Score& dfs,
-            const Score& vindex, const Score& awdit) {
-  std::ifstream in(opt.compare);
-  if (!in) {
+            const Score& sharded, const Score& one, const Score& pk,
+            const Score& dfs, const Score& vindex, const Score& awdit) {
+  const std::string text = ReadFile(opt.compare);
+  if (text.empty()) {
     std::fprintf(stderr, "cannot read baseline %s\n", opt.compare.c_str());
     return 2;
   }
-  std::stringstream buf;
-  buf << in.rdbuf();
-  const std::string text = buf.str();
   double base_calib = ExtractNumber(text, "", "calib_mops");
   // Per-metric delta table, calibration-normalized on both sides (so a
   // slower CI machine is not misread as a code regression). Only the --gate
@@ -349,6 +382,7 @@ int Compare(const Options& opt, double calib, const Score& verify,
   };
   const Row rows[] = {{"verify", verify.per_sec},
                       {"sharded_zipf", sharded.per_sec},
+                      {"zipf_1shard", one.per_sec},
                       {"pk_insert", pk.per_sec},
                       {"full_dfs", dfs.per_sec},
                       {"version_index", vindex.per_sec},
@@ -420,6 +454,8 @@ int main(int argc, char** argv) {
       opt.max_regress = std::strtod(a + 14, nullptr);
     } else if (std::strncmp(a, "--gate=", 7) == 0) {
       opt.gate = a + 7;
+    } else if (std::strncmp(a, "--ratio-gate=", 13) == 0) {
+      opt.ratio_gate = a + 13;
     } else {
       std::fprintf(stderr, "unknown flag %s\n", a);
       return 2;
@@ -430,9 +466,12 @@ int main(int argc, char** argv) {
   // Gate runs (CI) keep the best of more repeats: the gate compares a
   // single fresh measurement against the committed snapshot, so transient
   // co-tenant noise on the runner directly becomes a false regression.
-  if (!opt.compare.empty() && opt.repeat < 8) opt.repeat = 8;
+  if ((!opt.compare.empty() || !opt.ratio_gate.empty()) && opt.repeat < 8) {
+    opt.repeat = 8;
+  }
   Score verify = MeasureVerify(opt);
-  Score sharded = MeasureShardedZipf(opt);
+  Score sharded = MeasureShardedZipf(opt, 4);
+  Score one = MeasureShardedZipf(opt, 1);
   Score pk = MeasurePkInsert(opt);
   Score dfs = MeasureFullDfs(opt);
   Score vindex = MeasureVersionIndex(opt);
@@ -450,6 +489,8 @@ int main(int argc, char** argv) {
   os << ",\n";
   AppendScore(os, "sharded_zipf", sharded, /*with_memory=*/true);
   os << ",\n";
+  AppendScore(os, "zipf_1shard", one, /*with_memory=*/true);
+  os << ",\n";
   AppendScore(os, "pk_insert", pk, false);
   os << ",\n";
   AppendScore(os, "full_dfs", dfs, false);
@@ -465,8 +506,10 @@ int main(int argc, char** argv) {
     f << os.str();
     std::printf("wrote %s\n", opt.out.c_str());
   }
+  int rc = 0;
   if (!opt.compare.empty()) {
-    return Compare(opt, calib, verify, sharded, pk, dfs, vindex, awdit);
+    rc = Compare(opt, calib, verify, sharded, one, pk, dfs, vindex, awdit);
   }
-  return 0;
+  if (!opt.ratio_gate.empty()) rc = std::max(rc, RatioGate(opt, sharded, one));
+  return rc;
 }
