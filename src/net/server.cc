@@ -216,9 +216,7 @@ bool VerifierServer::HandleFrame(Session& session, Frame frame) {
                                       session.stream_closed.end(),
                                       [](uint8_t c) { return c != 0; });
         if (all_closed && !session.counted_complete.exchange(true)) {
-          sessions_completed_.fetch_add(1, std::memory_order_relaxed);
-          if (m_sessions_done_ != nullptr) m_sessions_done_->Inc();
-          drain_cv_.notify_all();
+          CountCompletedSession();
         }
       }
       return true;
@@ -510,6 +508,10 @@ bool VerifierServer::HandleBatch(Session& session, const Frame& frame) {
   if (durable_ && opts_.checkpoint_every_traces > 0 &&
       total_received - traces_at_last_ckpt_.load(std::memory_order_relaxed) >=
           opts_.checkpoint_every_traces) {
+    // Pass through the checkpointer's mutex first: it tests the count
+    // under that mutex before it sleeps, and a notify sent between the two
+    // would be lost until its timer fires.
+    { std::lock_guard<std::mutex> lock(ckpt_thread_mu_); }
     ckpt_thread_cv_.notify_one();
   }
   const uint64_t session_total =
@@ -606,27 +608,27 @@ void VerifierServer::FailSession(Session& session,
 
 void VerifierServer::FinishSession(Session& session) {
   bool had_open = false;
-  bool parked = false;
   if (session.n_streams > 0) {
     bool any_open = false;
     for (uint32_t i = 0; i < session.n_streams; ++i) {
       if (!session.stream_closed[i]) any_open = true;
     }
-    if (any_open && session.resumable &&
-        !stopping_.load(std::memory_order_relaxed)) {
-      // A resumable session that dropped with open streams is expected
-      // back: park its per-stream state (captured as it stands at
-      // disconnect, before the force-close below) so a resume HELLO can
-      // re-admit the same client ids. The streams are still closed in the
-      // verifier meanwhile — an absent client must not pin the watermark.
+    // A resumable session that dropped with open streams is expected
+    // back: park its per-stream state (captured as it stands at
+    // disconnect, before the force-close below) so a resume HELLO can
+    // re-admit the same client ids. The streams are still closed in the
+    // verifier meanwhile — an absent client must not pin the watermark.
+    // The parked state is published only after that close: a resume that
+    // found it sooner would reopen streams the verifier still has open,
+    // fail, and lose the parked state for good.
+    const bool park = any_open && session.resumable;
+    ParkedSession p;
+    if (park) {
       std::lock_guard<std::mutex> lock(mu_);
-      ParkedSession p;
       p.n_streams = session.n_streams;
       p.stream_ils = session.stream_ils;
       p.last_ts = session.last_ts;
       p.stream_closed = session.stream_closed;
-      parked_.emplace(session.base_client, std::move(p));
-      parked = true;
     }
     for (uint32_t i = 0; i < session.n_streams; ++i) {
       if (!session.stream_closed[i]) {
@@ -635,10 +637,17 @@ void VerifierServer::FinishSession(Session& session) {
         had_open = true;
       }
     }
-    if (!session.counted_complete.exchange(true) && !parked) {
-      sessions_completed_.fetch_add(1, std::memory_order_relaxed);
-      if (m_sessions_done_ != nullptr) m_sessions_done_->Inc();
-      drain_cv_.notify_all();
+    if (park) {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (!stopping_.load(std::memory_order_relaxed)) {
+        parked_.emplace(session.base_client, std::move(p));
+      }
+    }
+    // A dropped resumable session never counts as completed, even once the
+    // drain has begun and it can no longer park: whether its reader saw the
+    // EOF before or after the drain started must not change the count.
+    if (!session.counted_complete.exchange(true) && !park) {
+      CountCompletedSession();
     }
   }
   if (had_open && m_disconnects_ != nullptr) m_disconnects_->Inc();
@@ -651,6 +660,18 @@ void VerifierServer::FinishSession(Session& session) {
             session.traces_received.load(std::memory_order_relaxed)),
         had_open ? ", streams force-closed" : "");
   }
+}
+
+void VerifierServer::CountCompletedSession() {
+  {
+    // WaitReport tests the count under mu_ before it sleeps; an increment
+    // made without mu_ could land between that test and the sleep, and the
+    // notify below would then wake nobody.
+    std::lock_guard<std::mutex> lock(mu_);
+    sessions_completed_.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (m_sessions_done_ != nullptr) m_sessions_done_->Inc();
+  drain_cv_.notify_all();
 }
 
 void VerifierServer::OnBug(const BugDescriptor& bug) {

@@ -145,7 +145,9 @@ class VerifierServer {
   uint64_t traces_received() const {
     return traces_received_.load(std::memory_order_relaxed);
   }
-  /// Sessions that finished (cleanly or by disconnect).
+  /// Sessions that finished: closed every stream, or disconnected with
+  /// streams open. A resumable session that drops with streams open is
+  /// expected back and never counts.
   uint32_t sessions_completed() const {
     return sessions_completed_.load(std::memory_order_relaxed);
   }
@@ -238,8 +240,11 @@ class VerifierServer {
   /// Sends kError and marks the session defunct.
   void FailSession(Session& session, const std::string& message);
   /// Closes every still-open stream of the session and, if it completed
-  /// the handshake, counts the session as finished.
+  /// the handshake, counts the session as finished — unless it is a
+  /// resumable session that dropped with streams open, which parks instead.
   void FinishSession(Session& session);
+  /// Counts one completed session and wakes WaitReport.
+  void CountCompletedSession();
   void SendToSession(Session& session, const std::string& frame);
   /// Routes one bug to the sessions owning its transactions (dispatcher
   /// thread, via OnlineVerifier's on_bug).

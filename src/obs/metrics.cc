@@ -13,10 +13,12 @@ Histogram::Snapshot Histogram::Snap() const {
   // which would make the Prometheus `+Inf` bucket (== count) fall below the
   // last finite cumulative bucket, violating histogram monotonicity.
   // Deriving count from the buckets keeps `count == sum(buckets)` an
-  // invariant of every snapshot, torn or not.
+  // invariant of every snapshot, torn or not. The acquire pairs with the
+  // release in Record(): min/max, read below, then cover every record the
+  // buckets counted.
   s.sum_ns = SumNs();
   for (int i = 0; i < kBuckets; ++i) {
-    s.buckets[i] = buckets_[i].load(std::memory_order_relaxed);
+    s.buckets[i] = buckets_[i].load(std::memory_order_acquire);
     s.count += s.buckets[i];
   }
   s.min_ns = MinNs();

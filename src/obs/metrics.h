@@ -78,24 +78,26 @@ class Gauge {
 /// winning bucket and clamps to the observed min/max, so a histogram holding
 /// a single value reports that exact value at every percentile.
 ///
-/// Ordering contract: Record() updates bucket, then count, then sum, then
-/// min/max — all relaxed, so a concurrent Snap() can observe any prefix of
-/// an in-flight Record. Snap() therefore reads the buckets first and derives
-/// `count` from their sum, guaranteeing `count == sum(buckets)` in every
-/// snapshot (the invariant cumulative-bucket consumers like the Prometheus
-/// exporter need). `sum_ns`/`min_ns`/`max_ns` may lag the buckets by the
-/// in-flight records; mean/percentiles are approximate under concurrency
-/// and exact once writers quiesce.
+/// Ordering contract: Record() updates min/max, then the bucket (release),
+/// then count and sum (relaxed), so a concurrent Snap() can observe any
+/// prefix of an in-flight Record. Snap() therefore reads the buckets first
+/// and derives `count` from their sum, guaranteeing `count == sum(buckets)`
+/// in every snapshot (the invariant cumulative-bucket consumers like the
+/// Prometheus exporter need). Its bucket loads acquire, so every record a
+/// snapshot counts has its min/max visible: `min_ns <= max_ns` whenever
+/// `count > 0`. `sum_ns` may lag or lead the buckets by the in-flight
+/// records; mean/percentiles are approximate under concurrency and exact
+/// once writers quiesce.
 class Histogram {
  public:
   static constexpr int kBuckets = 64;
 
   void Record(uint64_t value_ns) {
-    buckets_[BucketIndex(value_ns)].fetch_add(1, std::memory_order_relaxed);
-    count_.fetch_add(1, std::memory_order_relaxed);
-    sum_.fetch_add(value_ns, std::memory_order_relaxed);
     UpdateMin(value_ns);
     UpdateMax(value_ns);
+    buckets_[BucketIndex(value_ns)].fetch_add(1, std::memory_order_release);
+    count_.fetch_add(1, std::memory_order_relaxed);
+    sum_.fetch_add(value_ns, std::memory_order_relaxed);
   }
 
   uint64_t Count() const { return count_.load(std::memory_order_relaxed); }
