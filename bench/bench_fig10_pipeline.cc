@@ -20,7 +20,7 @@ namespace {
 struct SorterResult {
   double seconds = 0;
   double peak_mib = 0;
-  size_t peak_heap = 0;  ///< peak traces in the global min-heap
+  size_t peak_heap = 0;  ///< peak traces in the global buffer (naive: heap)
 };
 
 SorterResult RunPipeline(const RunResult& run, bool optimized) {

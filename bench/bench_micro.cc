@@ -4,6 +4,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "bench_util.h"
 #include "common/flat_hash_map.h"
 #include "common/slab_map.h"
@@ -43,6 +47,85 @@ void BM_PipelineDispatch(benchmark::State& state) {
                           static_cast<int64_t>(run.TotalTraces()));
 }
 BENCHMARK(BM_PipelineDispatch);
+
+/// One wire batch as a server's reader admits it: up to 256 traces of one
+/// stream, in that stream's push order.
+struct StreamBatch {
+  ClientId stream = 0;
+  std::vector<Trace> traces;
+};
+
+/// The batches a client sends when it pushes a 4-client run's traces in
+/// merged ts_bef order over 4 streams, 256 traces per stream batch, each
+/// stream's remainder flushed at the end. Streams are pipeline clients
+/// 1-4; client 0 is the server's gate stream.
+const std::vector<StreamBatch>& StreamedBatches() {
+  static const std::vector<StreamBatch>& batches =
+      *new std::vector<StreamBatch>([] {
+        constexpr uint32_t kStreams = 4;
+        constexpr size_t kBatchTraces = 256;
+        BlindWWorkload::Options wo;
+        wo.variant = BlindWVariant::kReadWriteRange;
+        BlindWWorkload workload(wo);
+        const RunResult run = bench::CollectTraces(
+            &workload, Protocol::kMvcc2plSsi, IsolationLevel::kSerializable,
+            /*txns=*/8000, /*clients=*/kStreams, /*seed=*/3);
+        std::vector<std::pair<const Trace*, ClientId>> merged;
+        for (ClientId c = 0; c < kStreams; ++c) {
+          for (const Trace& t : run.client_traces[c]) merged.push_back({&t, c});
+        }
+        std::stable_sort(merged.begin(), merged.end(),
+                         [](const auto& a, const auto& b) {
+                           return a.first->ts_bef() < b.first->ts_bef();
+                         });
+        std::vector<StreamBatch> out;
+        std::vector<std::vector<Trace>> pending(kStreams);
+        auto flush = [&](ClientId c) {
+          out.push_back({c + 1, std::move(pending[c])});
+          pending[c].clear();
+        };
+        for (const auto& [trace, c] : merged) {
+          pending[c].push_back(*trace);
+          if (pending[c].size() == kBatchTraces) flush(c);
+        }
+        for (ClientId c = 0; c < kStreams; ++c) {
+          if (!pending[c].empty()) flush(c);
+        }
+        return out;
+      }());
+  return batches;
+}
+
+// The server's shape: the reader pushes one stream batch, then the
+// dispatcher drains whatever the watermark releases. Trace copies and
+// destruction stay outside the timing, so this is the dispatcher's merge
+// cost plus the moves in and out, per trace.
+void BM_PipelineDispatchStreamed(benchmark::State& state) {
+  const std::vector<StreamBatch>& batches = StreamedBatches();
+  size_t traces = 0;
+  for (const StreamBatch& b : batches) traces += b.traces.size();
+  std::vector<Trace> out;
+  out.reserve(traces);
+  for (auto _ : state) {
+    state.PauseTiming();
+    out.clear();
+    std::vector<StreamBatch> copy(batches);
+    TwoLevelPipeline pipeline(5);
+    pipeline.Close(0);  // the gate stream, closed once all sessions joined
+    state.ResumeTiming();
+    for (StreamBatch& b : copy) {
+      for (Trace& t : b.traces) pipeline.Push(b.stream, std::move(t));
+      pipeline.DispatchInto(out);
+    }
+    for (ClientId c = 1; c < 5; ++c) pipeline.Close(c);
+    pipeline.DispatchInto(out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(traces));
+}
+BENCHMARK(BM_PipelineDispatchStreamed);
 
 void BM_LeopardVerify(benchmark::State& state) {
   const RunResult& run = SharedRun();

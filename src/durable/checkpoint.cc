@@ -18,9 +18,11 @@ namespace {
 // The last two bytes version the payload layout. "04" dropped the server's
 // txn -> client route table from the front of the payload; "05" replaces
 // each active transaction's seen-shard mask in the sharded router state with
-// the shards its terminal must reach. An older file would be misread, so
-// ReadCheckpoint rejects any other version by name.
-constexpr char kCkptMagic[8] = {'L', 'E', 'O', 'C', 'K', 'P', '0', '5'};
+// the shards its terminal must reach; "06" stores each pipeline client's
+// fetched count in place of the global-heap section and no longer stores
+// the pipeline's watermark, which is rebuilt. An older file would be
+// misread, so ReadCheckpoint rejects any other version by name.
+constexpr char kCkptMagic[8] = {'L', 'E', 'O', 'C', 'K', 'P', '0', '6'};
 constexpr size_t kCkptVersionAt = 6;  // "LEOCKP" prefix, then the version
 constexpr char kManifestMagic[8] = {'L', 'E', 'O', 'M', 'A', 'N', '0', '1'};
 constexpr size_t kKeepCheckpoints = 2;

@@ -20,7 +20,7 @@ namespace durable {
 ///
 /// Layout in the state directory:
 ///
-///   ckpt-<cut>.bin   magic "LEOCKP05", then meta (cut, config fingerprint,
+///   ckpt-<cut>.bin   magic "LEOCKP06", then meta (cut, config fingerprint,
 ///                    shard count), the length-prefixed payload, and a
 ///                    crc32 of every preceding byte.
 ///   MANIFEST         magic "LEOMAN01" + the newest cut + crc32, written

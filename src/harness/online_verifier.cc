@@ -214,21 +214,17 @@ void OnlineVerifier::Loop() {
     }
     // Drain everything currently dispatchable into a local batch, then
     // release the lock before verifying: producers only ever contend with
-    // the short Dispatch drain, never with Process(). This is the online
-    // hot path — holding mu_ across verification would stall every Push()
-    // behind whole verification batches.
-    while (auto trace = pipeline_.Dispatch()) {
-      batch.push_back(std::move(*trace));
-    }
-    if (!batch.empty()) {
+    // the short DispatchInto drain, never with Process(). This is the
+    // online hot path — holding mu_ across verification would stall every
+    // Push() behind whole verification batches.
+    const size_t buffered_bytes = pipeline_.buffered_bytes();
+    if (pipeline_.DispatchInto(batch) > 0) {
+      const uint64_t bytes = buffered_bytes - pipeline_.buffered_bytes();
       lock.unlock();
-      for (Trace& trace : batch) {
-        const uint64_t bytes = trace.ApproxBytes();
-        engine_.Process(trace);
-        verified_.fetch_add(1, std::memory_order_relaxed);
-        verified_bytes_.fetch_add(bytes, std::memory_order_relaxed);
-      }
+      for (const Trace& trace : batch) engine_.Process(trace);
       engine_.EndBatch();
+      verified_.fetch_add(batch.size(), std::memory_order_relaxed);
+      verified_bytes_.fetch_add(bytes, std::memory_order_relaxed);
       // Single-shard verification happens inline in Process, so any bug it
       // found is visible now — stream it while the producers still run.
       if (on_bug_ && engine_.n_shards() == 1) {

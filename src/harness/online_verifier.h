@@ -31,7 +31,7 @@ namespace leopard {
 ///
 /// Thread-safety: Push/Close may be called concurrently from any number of
 /// producer threads; Close is idempotent per client. The dispatcher thread
-/// owns Dispatch and the engine. Producers never wait on verification: the
+/// owns dispatch and the engine. Producers never wait on verification: the
 /// dispatcher drains dispatchable traces into a local batch and verifies
 /// them *outside* the producer mutex.
 ///
@@ -146,19 +146,19 @@ class OnlineVerifier {
   /// aggregated report (works for any shard count).
   const VerifyReport& WaitReport();
 
-  /// Traces handed to the engine so far (approximate while running; in
-  /// sharded mode a routed trace may still be in flight to its shard).
-  /// Lock-free: safe to poll at any rate without contending with the
-  /// verifier thread.
+  /// Traces handed to the engine so far, counted once per dispatched batch
+  /// after the engine took all of it (in sharded mode a routed trace may
+  /// still be in flight to its shard). Lock-free: safe to poll at any rate
+  /// without contending with the verifier thread.
   uint64_t verified_count() const {
     return verified_.load(std::memory_order_relaxed);
   }
   bool verified_count_is_lock_free() const { return verified_.is_lock_free(); }
 
   /// Approximate bytes of trace payload handed to the engine so far (the
-  /// ApproxBytes() sum of verified traces). Producers pushing decoded
-  /// network frames use pushed-bytes minus this as the in-flight bound for
-  /// backpressure. Lock-free.
+  /// ApproxBytes() sum of verified traces, counted like verified_count()).
+  /// Producers pushing decoded network frames use pushed-bytes minus this
+  /// as the in-flight bound for backpressure. Lock-free.
   uint64_t verified_bytes() const {
     return verified_bytes_.load(std::memory_order_relaxed);
   }

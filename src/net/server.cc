@@ -494,7 +494,9 @@ bool VerifierServer::HandleBatch(Session& session, const Frame& frame) {
       // the violation (and route it) the moment the batch is verified.
       std::lock_guard<std::mutex> lock(mu_);
       for (const Trace& t : batch->traces) {
-        txn_client_.emplace(t.txn, client);
+        // try_emplace: emplace would allocate a node even when the txn is
+        // already mapped, i.e. for every trace after a transaction's first.
+        txn_client_.try_emplace(t.txn, client);
       }
     }
     online_->PushBatch(client, std::move(batch->traces));

@@ -287,7 +287,8 @@ class VerifierServer {
   /// session. In-process only, never checkpointed: every client restored
   /// by recovery is closed and new sessions get fresh ids, so a restored
   /// txn could never reach a live session anyway. Its violations count as
-  /// net.violations_unroutable.
+  /// net.violations_unroutable. Never pruned: it grows by one entry per
+  /// transaction for the server's lifetime.
   std::unordered_map<TxnId, ClientId> txn_client_;
   std::unordered_map<ClientId, Session*> client_session_;
   /// Stream state parked by an abrupt disconnect of a *resumable* session

@@ -65,14 +65,17 @@ Status HttpEndpoint::Start() {
 
 void HttpEndpoint::Stop() {
   stop_.store(true, std::memory_order_relaxed);
+  // Wakes the acceptor out of its blocking Accept() at once.
+  listener_.Shutdown();
   if (acceptor_.joinable()) acceptor_.join();
   listener_.Close();
 }
 
 void HttpEndpoint::AcceptLoop() {
   while (!stop_.load(std::memory_order_relaxed)) {
-    auto accepted = listener_.Accept(opts_.accept_timeout_ms);
-    if (!accepted.ok()) continue;  // timeout or transient error: poll stop_
+    // Blocks until a scraper connects or Stop() shuts the listener down.
+    auto accepted = listener_.Accept();
+    if (!accepted.ok()) continue;  // shut down or transient error
     ServeConnection(std::move(accepted).value());
   }
 }

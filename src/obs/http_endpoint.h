@@ -47,7 +47,6 @@ class HttpEndpoint {
     /// acceptor thread; must be thread-safe and fast.
     std::function<std::string()> statusz_fields;
     std::string build_info;  // e.g. "leopard_serve dev"
-    uint64_t accept_timeout_ms = 200;
     uint64_t max_request_bytes = 8192;
   };
 

@@ -142,12 +142,12 @@ void ExpectFooterMatchesReadBack(const std::string& path) {
 }
 
 /// Rewrites a checkpoint file as the previous format would have stamped
-/// it: magic "LEOCKP04", trailing CRC recomputed so only the magic differs.
+/// it: magic "LEOCKP05", trailing CRC recomputed so only the magic differs.
 void DowngradeCheckpointMagic(const std::string& path) {
   auto bytes = durable::ReadFileToString(path);
   ASSERT_TRUE(bytes.ok()) << bytes.status();
-  ASSERT_EQ(bytes->substr(0, 8), "LEOCKP05");
-  (*bytes)[7] = '4';
+  ASSERT_EQ(bytes->substr(0, 8), "LEOCKP06");
+  (*bytes)[7] = '5';
   bytes->resize(bytes->size() - 4);
   const uint32_t crc = Crc32(bytes->data(), bytes->size());
   StateWriter(*bytes).PutU32(crc);
@@ -498,10 +498,10 @@ TEST(CheckpointTest, OlderFormatIsRejectedByName) {
   auto loaded = durable::CheckpointStore::ReadCheckpoint(path);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(loaded.status().message().find("has format LEOCKP04"),
+  EXPECT_NE(loaded.status().message().find("has format LEOCKP05"),
             std::string::npos)
       << loaded.status();
-  EXPECT_NE(loaded.status().message().find("reads LEOCKP05"),
+  EXPECT_NE(loaded.status().message().find("reads LEOCKP06"),
             std::string::npos)
       << loaded.status();
   EXPECT_FALSE(store.LoadNewest().ok());
@@ -1198,7 +1198,7 @@ TEST(DurableServerTest, OlderCheckpointFormatFailsStartupByName) {
   Status s = server.Start();
   ASSERT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition);
-  EXPECT_NE(s.message().find("has format LEOCKP04"), std::string::npos) << s;
+  EXPECT_NE(s.message().find("has format LEOCKP05"), std::string::npos) << s;
 }
 
 TEST(DurableServerTest, TriggerCheckpointWithoutStateDirFails) {

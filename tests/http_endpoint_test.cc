@@ -581,6 +581,26 @@ TEST(HttpEndpointTest, ServesOverLoopbackSocket) {
   ep.Stop();
 }
 
+// Stop() wakes the acceptor out of its blocking accept(): a server that has
+// sent its report must not linger for an accept-poll period before exit.
+TEST(HttpEndpointTest, StopReturnsWithoutWaitingOutTheAcceptPoll) {
+  MetricsRegistry registry;
+  HttpEndpoint::Options ho;
+  ho.registry = &registry;
+  std::vector<std::chrono::steady_clock::duration> took;
+  for (int i = 0; i < 10; ++i) {
+    HttpEndpoint ep(ho);
+    ASSERT_TRUE(ep.Start().ok());
+    // Let the acceptor enter accept() first.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    const auto start = std::chrono::steady_clock::now();
+    ep.Stop();
+    took.push_back(std::chrono::steady_clock::now() - start);
+  }
+  std::sort(took.begin(), took.end());
+  EXPECT_LT(took[took.size() / 2], std::chrono::milliseconds(50));
+}
+
 // ---------------------------------------------------------------------------
 // Wire-version matrix: only a v3 session carries the batch ingest
 // timestamp, so stage.ingest_to_read_ns must populate for v3 and stay

@@ -5,6 +5,7 @@
 #include "obs/registry.h"
 #include "txn/database.h"
 #include "workload/blindw.h"
+#include "workload/smallbank.h"
 
 namespace leopard {
 namespace {
@@ -54,6 +55,87 @@ TEST(PipelineTest, EqualTsBefTieDispatchesAtWatermark) {
   EXPECT_TRUE(p.Exhausted());
 }
 
+// Equal ts_bef never reorders one client's traces: a coarse client clock
+// can stamp a transaction's write, read and commit alike, and dispatching
+// them out of push order would deliver the commit before the write. Across
+// clients, fetched traces with equal ts_bef leave in client-index order.
+std::vector<TxnId> DispatchEqualTsBefRun(uint32_t n, bool optimized) {
+  TwoLevelPipeline::Options opts;
+  opts.optimized = optimized;
+  TwoLevelPipeline p(2, opts);
+  for (uint32_t i = 0; i < n; ++i) {
+    p.Push(0, MakeCommitTrace(/*txn=*/100 + i, 0, {5, 6}));
+  }
+  p.Push(1, MakeCommitTrace(/*txn=*/200, 1, {5, 7}));
+  p.Push(1, MakeCommitTrace(/*txn=*/201, 1, {9, 10}));
+  p.Close(0);
+  p.Close(1);
+  std::vector<TxnId> order;
+  while (auto t = p.Dispatch()) order.push_back(t->txn);
+  return order;
+}
+
+TEST(PipelineTest, EqualTsBefKeepsEachClientsPushOrder) {
+  for (uint32_t n = 2; n <= 12; ++n) {
+    std::vector<TxnId> expected;
+    for (uint32_t i = 0; i < n; ++i) expected.push_back(100 + i);
+    expected.push_back(200);
+    expected.push_back(201);
+    EXPECT_EQ(DispatchEqualTsBefRun(n, /*optimized=*/true), expected)
+        << n << " equal traces, optimized";
+    // "w/o Opt" fetches both clients at once, so their ties meet in the
+    // global buffer: client 0's go first.
+    EXPECT_EQ(DispatchEqualTsBefRun(n, /*optimized=*/false), expected)
+        << n << " equal traces, w/o Opt";
+  }
+}
+
+// DispatchInto is the bulk form of Dispatch: the same traces in the same
+// order, and the same fetch rounds and buffer peaks.
+TEST(PipelineTest, DispatchIntoMatchesRepeatedDispatch) {
+  for (bool optimized : {true, false}) {
+    TwoLevelPipeline::Options opts;
+    opts.optimized = optimized;
+    opts.fetch_batch = 8;
+    TwoLevelPipeline one(4, opts);
+    TwoLevelPipeline bulk(4, opts);
+    Rng rng(13);
+    std::vector<Timestamp> next_ts(4, 1);
+    std::vector<TxnId> by_one, by_bulk;
+    std::vector<Trace> out;
+    TxnId txn = 1;
+    for (int step = 0; step < 2000; ++step) {
+      const ClientId c = static_cast<ClientId>(rng.Uniform(4));
+      const Timestamp bef = next_ts[c];
+      next_ts[c] += rng.Uniform(3);  // frequent equal ts_bef
+      one.Push(c, MakeCommitTrace(txn, c, {bef, bef + 1}));
+      bulk.Push(c, MakeCommitTrace(txn, c, {bef, bef + 1}));
+      ++txn;
+      if (rng.Uniform(8) != 0) continue;
+      while (auto t = one.Dispatch()) by_one.push_back(t->txn);
+      const size_t n = bulk.DispatchInto(out);
+      EXPECT_EQ(n, out.size());
+      for (const Trace& t : out) by_bulk.push_back(t.txn);
+      out.clear();
+      ASSERT_EQ(by_one, by_bulk);
+    }
+    for (ClientId c = 0; c < 4; ++c) {
+      one.Close(c);
+      bulk.Close(c);
+    }
+    while (auto t = one.Dispatch()) by_one.push_back(t->txn);
+    bulk.DispatchInto(out);
+    for (const Trace& t : out) by_bulk.push_back(t.txn);
+    EXPECT_EQ(by_one, by_bulk);
+    EXPECT_EQ(by_bulk.size(), 2000u);
+    EXPECT_TRUE(bulk.Exhausted());
+    EXPECT_EQ(one.stats().dispatched, bulk.stats().dispatched);
+    EXPECT_EQ(one.stats().rounds, bulk.stats().rounds);
+    EXPECT_EQ(one.stats().max_global_heap, bulk.stats().max_global_heap);
+    EXPECT_EQ(one.stats().max_global_bytes, bulk.stats().max_global_bytes);
+  }
+}
+
 // Session resume (v5): a closed client re-admitted via Reopen continues at
 // a floor of max(its last pushed ts_bef, the dispatch floor), so Theorem 1
 // monotonicity survives the disconnect/reconnect cycle.
@@ -81,6 +163,46 @@ TEST(PipelineTest, ReopenRestoresClosedClientAtItsFloor) {
   while (auto t = p.Dispatch()) order.push_back(t->ts_bef());
   EXPECT_EQ(order, (std::vector<Timestamp>{5, 5, 7, 9}));
   EXPECT_TRUE(p.Exhausted());
+}
+
+// A client registered or reopened mid-run pulls the watermark down to the
+// floor it is admitted at: a trace the old watermark released must wait
+// until that client's stream has passed it.
+TEST(PipelineTest, AddedOrReopenedClientHoldsDispatchAtItsFloor) {
+  {
+    TwoLevelPipeline p(1);
+    p.Push(0, T(0, 1, 2));
+    p.Push(0, T(0, 5, 6));
+    EXPECT_EQ(p.Dispatch()->ts_bef(), 1u);  // 5 is client 0's last push
+    const ClientId added = p.AddClient();
+    EXPECT_EQ(p.dispatch_floor(), 1u);
+    EXPECT_FALSE(p.Dispatch().has_value());  // the newcomer may push 3
+    p.Push(added, T(added, 3, 4));
+    EXPECT_EQ(p.Dispatch()->ts_bef(), 3u);
+    EXPECT_FALSE(p.Dispatch().has_value());
+    p.Close(0);
+    p.Close(added);
+    EXPECT_EQ(p.Dispatch()->ts_bef(), 5u);
+    EXPECT_TRUE(p.Exhausted());
+  }
+  {
+    TwoLevelPipeline p(2);
+    p.Push(0, T(0, 1, 2));
+    p.Push(0, T(0, 10, 11));
+    p.Push(1, T(1, 2, 3));
+    p.Close(1);
+    EXPECT_EQ(p.Dispatch()->ts_bef(), 1u);
+    EXPECT_EQ(p.Dispatch()->ts_bef(), 2u);  // 10 is client 0's last push
+    EXPECT_EQ(p.Reopen(1), 2u);
+    EXPECT_FALSE(p.Dispatch().has_value());  // client 1 may push 3
+    p.Push(1, T(1, 3, 4));
+    EXPECT_EQ(p.Dispatch()->ts_bef(), 3u);
+    EXPECT_FALSE(p.Dispatch().has_value());
+    p.Close(0);
+    p.Close(1);
+    EXPECT_EQ(p.Dispatch()->ts_bef(), 10u);
+    EXPECT_TRUE(p.Exhausted());
+  }
 }
 
 TEST(PipelineTest, StarvesOnOpenEmptyBuffer) {
@@ -188,6 +310,116 @@ TEST(PipelineTest, OptimizedKeepsHeapSmall) {
   while (p.Dispatch()) ++n;
   EXPECT_EQ(n, 1000u);
   EXPECT_LT(p.stats().max_global_heap, 200u);
+}
+
+// Pins Fig. 10's memory figures: one deterministic SimRunner history
+// (24 clients with 6x speed heterogeneity, as bench_fig10_pipeline runs)
+// fed in 20 ms virtual-time windows through both fetch policies. The
+// expected values were recorded with the heap-of-traces global buffer; a
+// change to what counts as "in the global buffer" moves them.
+TwoLevelPipeline::Stats Fig10Replay(const RunResult& run, bool optimized) {
+  TwoLevelPipeline::Options opts;
+  opts.optimized = optimized;
+  TwoLevelPipeline p(static_cast<uint32_t>(run.client_traces.size()), opts);
+  constexpr Timestamp kWindow = 20000000;
+  std::vector<size_t> cursor(run.client_traces.size(), 0);
+  Timestamp window_end = kWindow;
+  bool remaining = true;
+  while (remaining) {
+    remaining = false;
+    for (ClientId c = 0; c < run.client_traces.size(); ++c) {
+      const auto& traces = run.client_traces[c];
+      while (cursor[c] < traces.size() &&
+             traces[cursor[c]].ts_bef() < window_end) {
+        p.Push(c, Trace(traces[cursor[c]]));
+        ++cursor[c];
+      }
+      if (cursor[c] == traces.size()) {
+        p.Close(c);
+      } else {
+        remaining = true;
+      }
+    }
+    while (p.Dispatch()) {
+    }
+    window_end += kWindow;
+  }
+  while (p.Dispatch()) {
+  }
+  EXPECT_TRUE(p.Exhausted());
+  return p.stats();
+}
+
+TEST(PipelineTest, Fig10FootprintIsPinned) {
+  Database::Options dbo;
+  dbo.protocol = Protocol::kMvcc2plSsi;
+  dbo.isolation = IsolationLevel::kSerializable;
+  dbo.lock_wait = LockWaitPolicy::kWaitDie;
+  Database db(dbo);
+  SmallBankWorkload workload(SmallBankWorkload::Options{});
+  SimOptions so;
+  so.clients = 24;
+  so.total_txns = 4000;
+  so.seed = 7;
+  so.speed_spread = 6.0;
+  SimRunner sim(&db, &workload, so);
+  const RunResult run = sim.Run();
+
+  const TwoLevelPipeline::Stats opt = Fig10Replay(run, /*optimized=*/true);
+  const TwoLevelPipeline::Stats wo = Fig10Replay(run, /*optimized=*/false);
+  ASSERT_EQ(run.TotalTraces(), 15837u);  // the history itself is unchanged
+  EXPECT_EQ(opt.dispatched, 15837u);
+  EXPECT_EQ(opt.rounds, 312u);
+  EXPECT_EQ(opt.max_global_heap, 1293u);
+  EXPECT_EQ(opt.max_global_bytes, 201648u);
+  EXPECT_EQ(wo.dispatched, 15837u);
+  EXPECT_EQ(wo.rounds, 13u);
+  EXPECT_EQ(wo.max_global_heap, 1326u);
+  EXPECT_EQ(wo.max_global_bytes, 237616u);
+}
+
+// A checkpoint taken while traces sit fetched but undispatched (the open,
+// empty client 2 pins the watermark at 0) restores the fetched prefixes: the
+// restored pipeline dispatches the same order with the same statistics.
+TEST(PipelineTest, SaveLoadKeepsFetchedPrefixes) {
+  TwoLevelPipeline::Options opts;
+  opts.fetch_batch = 4;
+  TwoLevelPipeline p(3, opts);
+  TxnId txn = 1;
+  for (Timestamp ts = 1; ts <= 10; ++ts) {
+    p.Push(0, MakeCommitTrace(txn++, 0, {ts, ts + 1}));
+    p.Push(1, MakeCommitTrace(txn++, 1, {ts + 4, ts + 5}));
+  }
+  EXPECT_FALSE(p.Dispatch().has_value());
+  EXPECT_EQ(p.stats().max_global_heap, 20u);  // everything fetched
+
+  std::string bytes;
+  StateWriter w(bytes);
+  p.SaveState(w);
+  // The restoring pipeline has dispatched before: a verifier's dispatcher
+  // runs from construction, so the state replaces a live pipeline's.
+  TwoLevelPipeline restored(1, opts);
+  restored.Close(0);
+  EXPECT_FALSE(restored.Dispatch().has_value());
+  StateReader r(bytes);
+  ASSERT_TRUE(restored.LoadState(r).ok());
+  EXPECT_EQ(restored.buffered_bytes(), p.buffered_bytes());
+  EXPECT_FALSE(restored.Dispatch().has_value());  // client 2 still pins it
+
+  std::vector<TxnId> order, restored_order;
+  for (TwoLevelPipeline* q : {&p, &restored}) {
+    q->Push(2, MakeCommitTrace(100, 2, {3, 4}));
+    q->Push(2, MakeCommitTrace(101, 2, {9, 10}));
+    for (ClientId c = 0; c < 3; ++c) q->Close(c);
+    std::vector<TxnId>& out = q == &p ? order : restored_order;
+    while (auto t = q->Dispatch()) out.push_back(t->txn);
+    EXPECT_TRUE(q->Exhausted());
+  }
+  EXPECT_EQ(order.size(), 22u);
+  EXPECT_EQ(order, restored_order);
+  EXPECT_EQ(p.stats().rounds, restored.stats().rounds);
+  EXPECT_EQ(p.stats().max_global_heap, restored.stats().max_global_heap);
+  EXPECT_EQ(p.stats().max_global_bytes, restored.stats().max_global_bytes);
 }
 
 TEST(PipelineTest, StatsCountDispatches) {
